@@ -129,8 +129,9 @@ type Options struct {
 	// Aborted.
 	Ctx context.Context
 	// Jobs bounds the engine worker pool RunCampaign uses to target
-	// faults concurrently; zero or one runs serially. Per-fault results
-	// are independent of the worker count.
+	// faults concurrently; zero selects GOMAXPROCS (engine.Workers) and
+	// one runs serially. Per-fault results are independent of the worker
+	// count.
 	Jobs int
 	// CampaignBudget, when positive, bounds the total backtracks summed
 	// over all faults of RunCampaign; once exhausted the remaining

@@ -113,8 +113,13 @@ type Cross struct {
 
 // Eval evaluates the surface at (txSec, tySec) and returns seconds.
 func (c Cross) Eval(txSec, tySec float64) float64 {
-	x := math.Cbrt(txSec / ns)
-	y := math.Cbrt(tySec / ns)
+	return c.EvalCbrt(math.Cbrt(txSec/ns), math.Cbrt(tySec/ns))
+}
+
+// EvalCbrt evaluates the surface at the cube roots x = Tx^⅓ and y = Ty^⅓
+// of the transition times in nanoseconds (Corner.Cbrt), for callers that
+// evaluate many pairs over the same endpoints.
+func (c Cross) EvalCbrt(x, y float64) float64 {
 	v := c.Kxy*x*y + c.Kx*x + c.Ky*y + c.K1
 	v += c.Kxx*x*x + c.Kyy*y*y + c.Kxxy*x*x*y + c.Kxyy*x*y*y
 	return v * ns
@@ -243,6 +248,70 @@ func (m *CellModel) Pair(x, y int) *PairTiming {
 	return nil
 }
 
+// MaxTablePins is the largest input count a PairTable resolves; wider
+// cells fall back to scanning Pairs.
+const MaxTablePins = 8
+
+// PairTable resolves a cell's to-controlling pair surfaces to an N×N index
+// so the window rules find pair (x, y) by position instead of scanning
+// Pairs on every evaluation. The zero value is empty; Resolve fills it.
+type PairTable struct {
+	m     *CellModel
+	pairs [MaxTablePins * MaxTablePins]*PairTiming
+}
+
+// Resolve binds the table to m, replacing any earlier binding.
+func (t *PairTable) Resolve(m *CellModel) {
+	t.m = m
+	if m.N > MaxTablePins {
+		return
+	}
+	for x := 0; x < m.N; x++ {
+		clear(t.pairs[x*MaxTablePins : x*MaxTablePins+m.N])
+	}
+	for i := range m.Pairs {
+		e := &m.Pairs[i]
+		if e.X < 0 || e.X >= m.N || e.Y < 0 || e.Y >= m.N {
+			continue
+		}
+		// Keep the first entry, as Pair's scan does.
+		if k := e.X*MaxTablePins + e.Y; t.pairs[k] == nil {
+			t.pairs[k] = &e.Timing
+		}
+	}
+}
+
+// Pair returns the surfaces of ordered pair (x, y), or nil, exactly as
+// CellModel.Pair does.
+func (t *PairTable) Pair(x, y int) *PairTiming {
+	if t.m.N > MaxTablePins {
+		return t.m.Pair(x, y)
+	}
+	return t.pairs[x*MaxTablePins+y]
+}
+
+// Corner is one input's transition-time endpoint, prepared once so that
+// every pair evaluation over it reuses the same figures: the time itself,
+// its cube root (the argument of the D0R and T0 surfaces) and the pin's
+// to-controlling delay and output transition there, load included.
+type Corner struct {
+	T     float64 // transition time, seconds
+	Cbrt  float64 // math.Cbrt(T / 1ns)
+	Delay float64 // CtrlPins[pin].DelayAt(T, extraLoad)
+	Trans float64 // CtrlPins[pin].TransAt(T, extraLoad)
+}
+
+// CtrlCorner prepares pin's to-controlling corner at transition time tSec.
+func (m *CellModel) CtrlCorner(pin int, tSec, extraLoad float64) Corner {
+	p := &m.CtrlPins[pin]
+	return Corner{
+		T:     tSec,
+		Cbrt:  math.Cbrt(tSec / ns),
+		Delay: p.DelayAt(tSec, extraLoad),
+		Trans: p.TransAt(tSec, extraLoad),
+	}
+}
+
 // Validate checks structural consistency of the model.
 func (m *CellModel) Validate() error {
 	if m.N < 1 {
@@ -279,11 +348,17 @@ const minSkewWidth = 1e-12 // 1 ps
 // If the pair was not characterised the result degrades to the pin-to-pin
 // delay of the earlier input (the pin-to-pin model's answer).
 func (m *CellModel) DelayCtrl2(x, y int, txSec, tySec, skewSec, extraLoad float64) float64 {
-	dx := m.CtrlPins[x].DelayAt(txSec, extraLoad)
-	dy := m.CtrlPins[y].DelayAt(tySec, extraLoad)
+	return m.DelayCtrl2At(m.Pair(x, y), m.Pair(y, x), x,
+		m.CtrlCorner(x, txSec, extraLoad), m.CtrlCorner(y, tySec, extraLoad), skewSec, extraLoad)
+}
 
-	pXY := m.Pair(x, y)
-	pYX := m.Pair(y, x)
+// DelayCtrl2At is DelayCtrl2 over resolved pair surfaces (pXY = Pair(x, y),
+// pYX = Pair(y, x), either may be nil) and corners prepared by CtrlCorner
+// for input x (cx) and its partner (cy).
+func (m *CellModel) DelayCtrl2At(pXY, pYX *PairTiming, x int, cx, cy Corner, skewSec, extraLoad float64) float64 {
+	dx := cx.Delay
+	dy := cy.Delay
+
 	if pXY == nil || pYX == nil {
 		// Pin-to-pin fallback: the earliest controlling input sets the
 		// output; the other is ignored.
@@ -293,15 +368,15 @@ func (m *CellModel) DelayCtrl2(x, y int, txSec, tySec, skewSec, extraLoad float6
 		return dy
 	}
 
-	sx := pXY.SX.Eval(txSec, tySec)
+	sx := pXY.SX.Eval(cx.T, cy.T)
 	if sx < minSkewWidth {
 		sx = minSkewWidth
 	}
-	sy := -pYX.SX.Eval(tySec, txSec)
+	sy := -pYX.SX.Eval(cy.T, cx.T)
 	if sy > -minSkewWidth {
 		sy = -minSkewWidth
 	}
-	d0 := pXY.D0.Eval(txSec, tySec) + m.CtrlPins[x].DelayLoadSlope*extraLoad
+	d0 := pXY.D0.EvalCbrt(cx.Cbrt, cy.Cbrt) + m.CtrlPins[x].DelayLoadSlope*extraLoad
 	// Claim 1: the zero-skew point is the global minimum. Keep the fitted
 	// surface consistent with it.
 	if d0 > dx {
@@ -328,11 +403,16 @@ func (m *CellModel) DelayCtrl2(x, y int, txSec, tySec, skewSec, extraLoad float6
 // DelayCtrl2. The V-shape minimum T0 sits at skew SKmin, which may be
 // non-zero.
 func (m *CellModel) TransCtrl2(x, y int, txSec, tySec, skewSec, extraLoad float64) float64 {
-	tx := m.CtrlPins[x].TransAt(txSec, extraLoad)
-	ty := m.CtrlPins[y].TransAt(tySec, extraLoad)
+	return m.TransCtrl2At(m.Pair(x, y), m.Pair(y, x), x,
+		m.CtrlCorner(x, txSec, extraLoad), m.CtrlCorner(y, tySec, extraLoad), skewSec, extraLoad)
+}
 
-	pXY := m.Pair(x, y)
-	pYX := m.Pair(y, x)
+// TransCtrl2At is TransCtrl2 over resolved pair surfaces and prepared
+// corners, under the conventions of DelayCtrl2At.
+func (m *CellModel) TransCtrl2At(pXY, pYX *PairTiming, x int, cx, cy Corner, skewSec, extraLoad float64) float64 {
+	tx := cx.Trans
+	ty := cy.Trans
+
 	if pXY == nil || pYX == nil {
 		if skewSec >= 0 {
 			return tx
@@ -340,15 +420,15 @@ func (m *CellModel) TransCtrl2(x, y int, txSec, tySec, skewSec, extraLoad float6
 		return ty
 	}
 
-	sx := pXY.SX.Eval(txSec, tySec)
+	sx := pXY.SX.Eval(cx.T, cy.T)
 	if sx < minSkewWidth {
 		sx = minSkewWidth
 	}
-	sy := -pYX.SX.Eval(tySec, txSec)
+	sy := -pYX.SX.Eval(cy.T, cx.T)
 	if sy > -minSkewWidth {
 		sy = -minSkewWidth
 	}
-	skmin := pXY.SKmin.Eval(txSec, tySec)
+	skmin := pXY.SKmin.Eval(cx.T, cy.T)
 	// Keep the minimum strictly inside the arms.
 	if skmin > sx-minSkewWidth {
 		skmin = sx - minSkewWidth
@@ -356,7 +436,7 @@ func (m *CellModel) TransCtrl2(x, y int, txSec, tySec, skewSec, extraLoad float6
 	if skmin < sy+minSkewWidth {
 		skmin = sy + minSkewWidth
 	}
-	t0 := pXY.T0.Eval(txSec, tySec) + m.CtrlPins[x].TransLoadSlope*extraLoad
+	t0 := pXY.T0.EvalCbrt(cx.Cbrt, cy.Cbrt) + m.CtrlPins[x].TransLoadSlope*extraLoad
 	if t0 > tx {
 		t0 = tx
 	}

@@ -143,3 +143,72 @@ func TestCtrlResponsePairOrderIndependence(t *testing.T) {
 		t.Errorf("order dependence: %+v vs %+v", a, b)
 	}
 }
+
+// pairModel is an n-input cell with the given ordered pairs characterised.
+func pairModel(n int, pairs [][2]int) *CellModel {
+	m := &CellModel{Name: "T", Kind: "NAND", N: n}
+	for k, p := range pairs {
+		m.Pairs = append(m.Pairs, PairEntry{X: p[0], Y: p[1], Timing: PairTiming{D0: Cross{K1: float64(k)}}})
+	}
+	return m
+}
+
+// TestPairTableMatchesPair: a table re-resolved across cells of different
+// sizes answers exactly as CellModel.Pair, including the pairs a cell does
+// not characterise and cells wider than MaxTablePins.
+func TestPairTableMatchesPair(t *testing.T) {
+	full := func(n int) (ps [][2]int) {
+		for x := 0; x < n; x++ {
+			for y := 0; y < n; y++ {
+				if x != y {
+					ps = append(ps, [2]int{x, y})
+				}
+			}
+		}
+		return ps
+	}
+	var tab PairTable
+	for _, m := range []*CellModel{
+		pairModel(4, full(4)),
+		pairModel(2, [][2]int{{1, 0}}),
+		pairModel(3, [][2]int{{0, 1}, {0, 1}, {2, 0}}), // duplicate: first wins
+		pairModel(MaxTablePins+2, full(MaxTablePins+2)),
+		pairModel(3, nil),
+	} {
+		tab.Resolve(m)
+		for x := 0; x < m.N; x++ {
+			for y := 0; y < m.N; y++ {
+				if got, want := tab.Pair(x, y), m.Pair(x, y); got != want {
+					t.Fatalf("N=%d pair (%d,%d): table %p, scan %p", m.N, x, y, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestCornerFormsMatch: the prepared-corner evaluators are the scalar
+// ones, bit for bit.
+func TestCornerFormsMatch(t *testing.T) {
+	m := testModel()
+	m.Pairs[1].Timing.D0.Kx = 0.03
+	m.Pairs[1].Timing.SX.Kx = 0.2
+	for _, tx := range []float64{0.05e-9, 0.3e-9, 1.1e-9} {
+		for _, ty := range []float64{0.07e-9, 0.5e-9} {
+			for _, skew := range []float64{-0.4e-9, -0.01e-9, 0, 0.02e-9, 0.6e-9} {
+				for _, load := range []float64{0, 5e-15} {
+					cx, cy := m.CtrlCorner(1, tx, load), m.CtrlCorner(0, ty, load)
+					p10, p01 := m.Pair(1, 0), m.Pair(0, 1)
+					if a, b := m.DelayCtrl2At(p10, p01, 1, cx, cy, skew, load), m.DelayCtrl2(1, 0, tx, ty, skew, load); math.Float64bits(a) != math.Float64bits(b) {
+						t.Fatalf("DelayCtrl2At %g != DelayCtrl2 %g", a, b)
+					}
+					if a, b := m.TransCtrl2At(p10, p01, 1, cx, cy, skew, load), m.TransCtrl2(1, 0, tx, ty, skew, load); math.Float64bits(a) != math.Float64bits(b) {
+						t.Fatalf("TransCtrl2At %g != TransCtrl2 %g", a, b)
+					}
+					if a, b := m.Pairs[1].Timing.D0.EvalCbrt(cx.Cbrt, cy.Cbrt), m.Pairs[1].Timing.D0.Eval(tx, ty); math.Float64bits(a) != math.Float64bits(b) {
+						t.Fatalf("EvalCbrt %g != Eval %g", a, b)
+					}
+				}
+			}
+		}
+	}
+}

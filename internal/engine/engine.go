@@ -198,6 +198,12 @@ func Safely(fn func() error) error {
 // goroutines (workers <= 0 selects GOMAXPROCS; workers == 1 runs inline
 // with no goroutines at all).
 //
+// The parallel path runs min(workers, n) goroutines — the caller's and
+// min(workers, n)-1 started ones — that pull indices from a shared atomic
+// counter until the range is exhausted, so the cost of a fan-out is a
+// handful of goroutines however large n is; every job still runs under the
+// pool's panic containment.
+//
 // Ordering is deterministic by construction: each job owns index i and
 // writes only into its own result slot, so the assembled output is
 // independent of scheduling. On failure Run cancels outstanding jobs and
@@ -222,40 +228,62 @@ func Run(ctx context.Context, workers, n int, job func(ctx context.Context, i in
 		return nil
 	}
 
-	errs := make([]error, n)
-	p := NewPool(ctx, workers)
-	for i := 0; i < n; i++ {
-		i := i
-		submitErr := p.Go(func(ctx context.Context) error {
-			errs[i] = protect(ctx, func(ctx context.Context) error { return job(ctx, i) })
-			return errs[i]
-		})
-		if submitErr != nil {
-			// The pool context is cancelled (a job failed, or the caller's
-			// context fired); further submissions would all be rejected too.
-			break
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	done := ctx.Done()
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+		mu   sync.Mutex
+		// Lowest-indexed real job error, and lowest-indexed
+		// cancellation error, observed so far.
+		errAt, cancelAt = n, n
+		jobErr, cancErr error
+	)
+	worker := func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			i := int(next.Add(1) - 1)
+			if i >= n {
+				return
+			}
+			err := protect(ctx, func(ctx context.Context) error { return job(ctx, i) })
+			if err == nil {
+				continue
+			}
+			mu.Lock()
+			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+				if i < cancelAt {
+					cancelAt, cancErr = i, err
+				}
+			} else if i < errAt {
+				errAt, jobErr = i, err
+			}
+			mu.Unlock()
+			cancel()
 		}
 	}
-	poolErr := p.Wait()
-	if poolErr == nil {
-		return nil
+	// The calling goroutine is one of the min(workers, n) pullers.
+	w := min(Workers(workers), n)
+	wg.Add(w)
+	for k := 1; k < w; k++ {
+		go worker()
 	}
-	// Deterministic selection: lowest index wins, and a real job failure
-	// beats a context-cancellation error caused by someone else failing.
-	var first error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if first == nil {
-			first = err
-		}
-		if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-			return err
-		}
+	worker()
+	wg.Wait()
+	switch {
+	case jobErr != nil:
+		return jobErr
+	case cancErr != nil:
+		return cancErr
+	case next.Load() < int64(n):
+		// The caller's context fired before every job was claimed.
+		return ctx.Err()
 	}
-	if first != nil {
-		return first
-	}
-	return poolErr
+	return nil
 }

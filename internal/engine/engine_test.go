@@ -122,17 +122,20 @@ func TestRunFailFast(t *testing.T) {
 // TestRunPanicRecovery: a panicking worker becomes an error carrying the
 // panic value instead of crashing the process.
 func TestRunPanicRecovery(t *testing.T) {
-	err := Run(context.Background(), 4, 16, func(_ context.Context, i int) error {
-		if i == 3 {
-			panic("kaboom")
+	for _, workers := range []int{2, 4} {
+		err := Run(context.Background(), workers, 16, func(_ context.Context, i int) error {
+			if i == 3 {
+				panic("kaboom")
+			}
+			return nil
+		})
+		var pe *PanicError
+		if !errors.As(err, &pe) || pe.Value != "kaboom" || len(pe.Stack) == 0 {
+			t.Fatalf("workers=%d: err = %v, want a *PanicError carrying kaboom and its stack", workers, err)
 		}
-		return nil
-	})
-	if err == nil || !strings.Contains(err.Error(), "kaboom") {
-		t.Fatalf("err = %v, want panic error mentioning kaboom", err)
 	}
 	// The serial path must recover too.
-	err = Run(context.Background(), 1, 4, func(_ context.Context, i int) error {
+	err := Run(context.Background(), 1, 4, func(_ context.Context, i int) error {
 		panic(i)
 	})
 	if err == nil || !strings.Contains(err.Error(), "panic") {
@@ -228,5 +231,57 @@ func TestPoolConcurrentSubmitters(t *testing.T) {
 	}
 	if total.Load() != 200 {
 		t.Fatalf("ran %d jobs, want 200", total.Load())
+	}
+}
+
+// TestRunInFlightBound: the pulling workers never run more jobs at once
+// than the pool width, and every index runs exactly once.
+func TestRunInFlightBound(t *testing.T) {
+	const n = 200
+	var cur, peak atomic.Int64
+	var ran [n]atomic.Int32
+	err := Run(context.Background(), 2, n, func(_ context.Context, i int) error {
+		c := cur.Add(1)
+		for {
+			pk := peak.Load()
+			if c <= pk || peak.CompareAndSwap(pk, c) {
+				break
+			}
+		}
+		time.Sleep(50 * time.Microsecond)
+		ran[i].Add(1)
+		cur.Add(-1)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pk := peak.Load(); pk > 2 {
+		t.Fatalf("observed %d jobs in flight at workers=2", pk)
+	}
+	for i := range ran {
+		if r := ran[i].Load(); r != 1 {
+			t.Fatalf("job %d ran %d times", i, r)
+		}
+	}
+}
+
+// TestRunLowestIndexErrorWins: when several jobs fail, Run reports the
+// lowest-indexed failure it observed, not the first in time.
+func TestRunLowestIndexErrorWins(t *testing.T) {
+	late := make(chan struct{})
+	err := Run(context.Background(), 2, 64, func(_ context.Context, i int) error {
+		switch i {
+		case 5:
+			<-late // fail only after job 37 has failed
+			return fmt.Errorf("job %d failed", i)
+		case 37:
+			defer close(late)
+			return fmt.Errorf("job %d failed", i)
+		}
+		return nil
+	})
+	if err == nil || err.Error() != "job 5 failed" {
+		t.Fatalf("err = %v, want job 5's error", err)
 	}
 }

@@ -137,15 +137,17 @@ func Refine(c *netlist.Circuit, cube nineval.Cube, opts Options) (*Result, error
 // refinement Result. The snapshot is a copy: later graph edits do not
 // disturb it.
 func FromGraph(g *tgraph.Graph) *Result {
+	c := g.Circuit()
 	res := &Result{
-		Circuit: g.Circuit(),
+		Circuit: c,
 		Cube:    g.ImpliedCube().Clone(),
 		Lines:   make(map[string]*LineInfo, g.NumLines()),
 	}
-	g.Lines(func(net string, li twindow.LineInfo) {
-		cp := li
-		res.Lines[net] = &cp
-	})
+	lines := make([]LineInfo, g.NumLines())
+	for id := range lines {
+		lines[id] = *g.LineAt(id)
+		res.Lines[c.NetName(id)] = &lines[id]
+	}
 	return res
 }
 

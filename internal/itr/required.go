@@ -194,8 +194,9 @@ func (r *Result) arcBounds(cell *core.CellModel, g *netlist.Gate, x int, ctrl, i
 }
 
 // CheckViolations compares the refined arrival windows against the required
-// windows under the PO constraint. Only defined (state != -1) directions
-// are checked.
+// windows under the PO constraint and returns every failing line in
+// sta.SortViolations order. Only defined (state != -1) directions are
+// checked.
 func (r *Result) CheckViolations(cons sta.Constraint, lib *core.Library) []sta.Violation {
 	req := r.RequiredTimes(cons, lib)
 	var out []sta.Violation
@@ -222,5 +223,6 @@ func (r *Result) CheckViolations(cons sta.Constraint, lib *core.Library) []sta.V
 			check(li.Fall, lr.Fall, false)
 		}
 	}
+	sta.SortViolations(out)
 	return out
 }

@@ -2,6 +2,7 @@ package itr
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"sstiming/internal/benchgen"
@@ -120,5 +121,43 @@ func TestRequiredTightensWithStates(t *testing.T) {
 				t.Errorf("%s rise QL tightened below STA: %g vs %g", net, ir.Rise.QL, sr.Rise.QL)
 			}
 		}
+	}
+}
+
+// TestCheckViolationsDeterministic: ITR violations come out in
+// sta.SortViolations order on every call, although the pass walks a map.
+func TestCheckViolationsDeterministic(t *testing.T) {
+	lib := prechar.MustLibrary()
+	p, _ := benchgen.ProfileByName("c432")
+	c, err := benchgen.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Refine(c, nineval.Cube{}, Options{Lib: lib, Mode: sta.ModeProposed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	staRes, err := sta.Analyze(c, sta.Options{Lib: lib, Mode: sta.ModeProposed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cons := sta.Constraint{MinTime: 1.1 * staRes.MinPOArrival(), MaxTime: 0.9 * staRes.MaxPOArrival()}
+	first := res.CheckViolations(cons, lib)
+	if len(first) < 2 {
+		t.Fatalf("only %d violations: the constraint does not exercise ordering", len(first))
+	}
+	sorted := append([]sta.Violation(nil), first...)
+	sta.SortViolations(sorted)
+	if !reflect.DeepEqual(first, sorted) {
+		t.Fatal("violations are not in sta.SortViolations order")
+	}
+	for k := 0; k < 20; k++ {
+		if got := res.CheckViolations(cons, lib); !reflect.DeepEqual(got, first) {
+			t.Fatalf("call %d returned a different slice", k)
+		}
+	}
+	// With the empty cube ITR is STA: the same violations, in the same order.
+	if want := staRes.CheckViolations(cons); !reflect.DeepEqual(first, want) {
+		t.Fatalf("ITR found %d violations, STA %d (or in another order)", len(first), len(want))
 	}
 }

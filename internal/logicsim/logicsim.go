@@ -69,8 +69,9 @@ type Options struct {
 	// Ctx, when non-nil, cancels the simulation between logic levels.
 	Ctx context.Context
 	// Jobs bounds the engine worker pool used to evaluate the gates of
-	// one logic level concurrently; zero or one runs serially. Results
-	// are independent of the worker count.
+	// one logic level concurrently; zero selects GOMAXPROCS
+	// (engine.Workers) and one runs serially. Results are independent of
+	// the worker count.
 	Jobs int
 	// Metrics, when non-nil, counts gate evaluations.
 	Metrics *engine.Metrics

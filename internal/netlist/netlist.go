@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -109,15 +110,36 @@ type Gate struct {
 	Inputs []string
 }
 
+// cellNames holds the NAND/NOR cell names for arities below its length,
+// so CellName does not allocate on the timing hot path.
+var cellNames = func() (t [2][16]string) {
+	for n := range t[0] {
+		t[0][n] = "NAND" + strconv.Itoa(n)
+		t[1][n] = "NOR" + strconv.Itoa(n)
+	}
+	return t
+}()
+
 // CellName returns the library cell name implementing this gate
 // ("INV", "NAND2", "NOR3", ...). Buffers map to "INV" timing-wise (the
 // closest library cell; logic evaluation still treats them as buffers).
 func (g *Gate) CellName() string {
+	n := len(g.Inputs)
 	switch g.Kind {
 	case Inv, Buf:
 		return "INV"
+	case Nand:
+		if n < len(cellNames[0]) {
+			return cellNames[0][n]
+		}
+		return "NAND" + strconv.Itoa(n)
+	case Nor:
+		if n < len(cellNames[1]) {
+			return cellNames[1][n]
+		}
+		return "NOR" + strconv.Itoa(n)
 	default:
-		return fmt.Sprintf("%s%d", map[GateKind]string{Nand: "NAND", Nor: "NOR"}[g.Kind], len(g.Inputs))
+		return strconv.Itoa(n)
 	}
 }
 
@@ -132,12 +154,21 @@ type Circuit struct {
 	// Gates are the gate instances.
 	Gates []Gate
 
-	driver  map[string]int   // net -> driving gate index (absent for PIs)
-	fanout  map[string][]int // net -> consuming gate indices
-	order   []int            // topologically sorted gate indices
-	level   []int            // per-gate logic level
-	isPI    map[string]bool
-	builtOK bool // Build succeeded since the last mutation
+	// Build interns every net to a dense id: the primary inputs take
+	// 0..len(PIs)-1 in declaration order and gate i's output takes
+	// len(PIs)+i. The string accessors resolve names through netID and
+	// read the same id-indexed tables the timing engines use directly.
+	// Pins and fan-outs are stored compressed: gate gi's input ids are
+	// pins[pinOff[gi]:pinOff[gi+1]] and net id's consuming gates are
+	// fanout[fanOff[id]:fanOff[id+1]].
+	netID   map[string]int32
+	pinOff  []int32
+	pins    []int32
+	fanOff  []int32
+	fanout  []int32
+	order   []int // topologically sorted gate indices
+	level   []int // per-gate logic level
+	builtOK bool  // Build succeeded since the last mutation
 }
 
 // New creates an empty circuit with the given name.
@@ -166,27 +197,31 @@ func (c *Circuit) AddGate(kind GateKind, output string, inputs ...string) int {
 }
 
 func (c *Circuit) invalidate() {
-	c.driver = nil
+	c.netID = nil
+	c.pinOff = nil
+	c.pins = nil
+	c.fanOff = nil
 	c.fanout = nil
 	c.order = nil
 	c.level = nil
-	c.isPI = nil
 	c.builtOK = false
 }
 
-// Build validates the circuit structure, indexes drivers/fanouts and
-// computes a topological order. It must be called (directly or via Parse)
-// before the traversal accessors are used.
+// Build validates the circuit structure, interns nets to dense ids,
+// indexes drivers/fanouts and computes a topological order. It must be
+// called (directly or via Parse) before the traversal accessors are used.
 func (c *Circuit) Build() error {
-	c.driver = make(map[string]int, len(c.Gates))
-	c.fanout = make(map[string][]int)
-	c.isPI = make(map[string]bool, len(c.PIs))
-	for _, pi := range c.PIs {
-		if c.isPI[pi] {
+	c.builtOK = false
+	nPI := len(c.PIs)
+	nNets := nPI + len(c.Gates)
+	c.netID = make(map[string]int32, nNets)
+	for i, pi := range c.PIs {
+		if _, dup := c.netID[pi]; dup {
 			return fmt.Errorf("netlist: %s: duplicate primary input %q", c.Name, pi)
 		}
-		c.isPI[pi] = true
+		c.netID[pi] = int32(i)
 	}
+	nPins := 0
 	for i := range c.Gates {
 		g := &c.Gates[i]
 		g.ID = i
@@ -196,38 +231,57 @@ func (c *Circuit) Build() error {
 		if (g.Kind == Inv || g.Kind == Buf) && len(g.Inputs) != 1 {
 			return fmt.Errorf("netlist: %s: %v gate %q must have exactly 1 input", c.Name, g.Kind, g.Output)
 		}
-		if _, dup := c.driver[g.Output]; dup {
+		if id, dup := c.netID[g.Output]; dup {
+			if int(id) < nPI {
+				return fmt.Errorf("netlist: %s: net %q is both a primary input and gate output", c.Name, g.Output)
+			}
 			return fmt.Errorf("netlist: %s: net %q has multiple drivers", c.Name, g.Output)
 		}
-		if c.isPI[g.Output] {
-			return fmt.Errorf("netlist: %s: net %q is both a primary input and gate output", c.Name, g.Output)
-		}
-		c.driver[g.Output] = i
+		c.netID[g.Output] = int32(nPI + i)
+		nPins += len(g.Inputs)
 	}
+
+	// Pin ids and fan-out lists live in one array each; a net consumed
+	// twice by one gate appears twice in its fan-out.
+	c.pinOff = make([]int32, len(c.Gates)+1)
+	c.pins = make([]int32, 0, nPins)
+	c.fanOff = make([]int32, nNets+1)
 	for i := range c.Gates {
 		g := &c.Gates[i]
-		for _, in := range g.Inputs {
-			if !c.isPI[in] {
-				if _, ok := c.driver[in]; !ok {
-					return fmt.Errorf("netlist: %s: gate %q input %q is undriven", c.Name, g.Output, in)
-				}
+		for _, name := range g.Inputs {
+			id, ok := c.netID[name]
+			if !ok {
+				return fmt.Errorf("netlist: %s: gate %q input %q is undriven", c.Name, g.Output, name)
 			}
-			c.fanout[in] = append(c.fanout[in], i)
+			c.pins = append(c.pins, id)
+			c.fanOff[id+1]++
 		}
+		c.pinOff[i+1] = int32(len(c.pins))
 	}
 	for _, po := range c.POs {
-		if !c.isPI[po] {
-			if _, ok := c.driver[po]; !ok {
-				return fmt.Errorf("netlist: %s: primary output %q is undriven", c.Name, po)
-			}
+		if _, ok := c.netID[po]; !ok {
+			return fmt.Errorf("netlist: %s: primary output %q is undriven", c.Name, po)
+		}
+	}
+	for id := 0; id < nNets; id++ {
+		c.fanOff[id+1] += c.fanOff[id]
+	}
+	c.fanout = make([]int32, nPins)
+	fill := make([]int32, nNets) // next free fan-out slot per net
+	copy(fill, c.fanOff)
+	for i := range c.Gates {
+		for _, id := range c.GateInputIDs(i) {
+			c.fanout[fill[id]] = int32(i)
+			fill[id]++
 		}
 	}
 
 	// Kahn topological sort over gates.
-	indeg := make([]int, len(c.Gates))
-	for i := range c.Gates {
-		for _, in := range c.Gates[i].Inputs {
-			if _, ok := c.driver[in]; ok {
+	indeg := fill[:len(c.Gates)]
+	for i := range indeg {
+		indeg[i] = 0
+		for _, id := range c.GateInputIDs(i) {
+			if int(id) >= nPI {
 				indeg[i]++
 			}
 		}
@@ -240,21 +294,20 @@ func (c *Circuit) Build() error {
 	}
 	c.order = c.order[:0]
 	c.level = make([]int, len(c.Gates))
-	for len(queue) > 0 {
-		i := queue[0]
-		queue = queue[1:]
+	for head := 0; head < len(queue); head++ {
+		i := queue[head]
 		c.order = append(c.order, i)
 		lvl := 0
-		for _, in := range c.Gates[i].Inputs {
-			if d, ok := c.driver[in]; ok && c.level[d]+1 > lvl {
+		for _, id := range c.GateInputIDs(i) {
+			if d := int(id) - nPI; d >= 0 && c.level[d]+1 > lvl {
 				lvl = c.level[d] + 1
 			}
 		}
 		c.level[i] = lvl
-		for _, succ := range c.fanout[c.Gates[i].Output] {
+		for _, succ := range c.FanoutIDs(nPI + i) {
 			indeg[succ]--
 			if indeg[succ] == 0 {
-				queue = append(queue, succ)
+				queue = append(queue, int(succ))
 			}
 		}
 	}
@@ -327,16 +380,27 @@ func (c *Circuit) Driver(net string) (int, bool) {
 	if !c.built() {
 		return 0, false
 	}
-	i, ok := c.driver[net]
-	return i, ok
+	if id, ok := c.netID[net]; ok {
+		return c.NetDriver(int(id))
+	}
+	return 0, false
 }
 
-// Fanout returns the gate indices consuming the net.
+// Fanout returns the gate indices consuming the net, as a fresh slice
+// (hot paths use FanoutIDs, which shares the index).
 func (c *Circuit) Fanout(net string) []int {
 	if !c.built() {
 		return nil
 	}
-	return c.fanout[net]
+	id, ok := c.netID[net]
+	if !ok {
+		return nil
+	}
+	var out []int
+	for _, gi := range c.FanoutIDs(int(id)) {
+		out = append(out, int(gi))
+	}
+	return out
 }
 
 // FanoutCount returns the number of gate inputs the net drives; nets feeding
@@ -345,15 +409,80 @@ func (c *Circuit) FanoutCount(net string) int {
 	if !c.built() {
 		return 1
 	}
-	n := len(c.fanout[net])
-	if n == 0 {
-		return 1
+	if id, ok := c.netID[net]; ok {
+		return c.FanoutCountID(int(id))
 	}
-	return n
+	return 1
 }
 
 // IsPI reports whether the net is a primary input.
-func (c *Circuit) IsPI(net string) bool { return c.built() && c.isPI[net] }
+func (c *Circuit) IsPI(net string) bool {
+	if !c.built() {
+		return false
+	}
+	id, ok := c.netID[net]
+	return ok && int(id) < len(c.PIs)
+}
+
+// The id accessors below index the tables Build interns: net ids run over
+// [0, NumNets()), primary inputs first in declaration order, then gate i's
+// output at len(PIs)+i. They are valid only after a successful
+// Build/EnsureBuilt and, like the string accessors, safe for concurrent
+// use from then on; ids outside the range panic.
+
+// NumNets returns the number of nets: primary inputs plus gate outputs.
+func (c *Circuit) NumNets() int { return len(c.PIs) + len(c.Gates) }
+
+// NetID returns the dense id of a net.
+func (c *Circuit) NetID(net string) (int, bool) {
+	if !c.built() {
+		return 0, false
+	}
+	id, ok := c.netID[net]
+	return int(id), ok
+}
+
+// NetName returns the name of net id.
+func (c *Circuit) NetName(id int) string {
+	if id < len(c.PIs) {
+		return c.PIs[id]
+	}
+	return c.Gates[id-len(c.PIs)].Output
+}
+
+// NetDriver returns the gate driving net id and whether one exists (false
+// for primary inputs).
+func (c *Circuit) NetDriver(id int) (int, bool) {
+	if gi := id - len(c.PIs); gi >= 0 {
+		return gi, true
+	}
+	return 0, false
+}
+
+// GateOutputID returns the net id gate gi drives.
+func (c *Circuit) GateOutputID(gi int) int { return len(c.PIs) + gi }
+
+// GateInputIDs returns the net ids of gate gi's inputs, in pin order
+// (shared; do not mutate).
+func (c *Circuit) GateInputIDs(gi int) []int32 {
+	lo, hi := c.pinOff[gi], c.pinOff[gi+1]
+	return c.pins[lo:hi:hi]
+}
+
+// FanoutIDs returns the gate indices consuming net id, in gate order
+// (shared; do not mutate).
+func (c *Circuit) FanoutIDs(id int) []int32 {
+	lo, hi := c.fanOff[id], c.fanOff[id+1]
+	return c.fanout[lo:hi:hi]
+}
+
+// FanoutCountID is FanoutCount for net id.
+func (c *Circuit) FanoutCountID(id int) int {
+	if n := c.fanOff[id+1] - c.fanOff[id]; n > 0 {
+		return int(n)
+	}
+	return 1
+}
 
 // Nets returns all net names (PIs and gate outputs), sorted.
 func (c *Circuit) Nets() []string {
@@ -392,7 +521,7 @@ func (c *Circuit) SwapGateKind(net string, kind GateKind) (GateKind, error) {
 			return 0, err
 		}
 	}
-	gi, ok := c.driver[net]
+	gi, ok := c.Driver(net)
 	if !ok {
 		return 0, fmt.Errorf("netlist: %s: net %q has no driving gate", c.Name, net)
 	}
@@ -424,7 +553,9 @@ func (c *Circuit) SwapGateKind(net string, kind GateKind) (GateKind, error) {
 func Parse(name string, r io.Reader) (*Circuit, error) {
 	c := New(name)
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	// A nil buffer starts at the scanner's small default and doubles up to
+	// the limit, so ordinary netlists never allocate the maximum.
+	sc.Buffer(nil, maxLineLen)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -432,15 +563,14 @@ func Parse(name string, r io.Reader) (*Circuit, error) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		up := strings.ToUpper(line)
 		switch {
-		case strings.HasPrefix(up, "INPUT(") || strings.HasPrefix(up, "INPUT ("):
+		case hasPrefixFold(line, "INPUT(") || hasPrefixFold(line, "INPUT ("):
 			net, err := parseParen(line)
 			if err != nil {
 				return nil, fmt.Errorf("netlist: %s:%d: %w", name, lineNo, err)
 			}
 			c.AddPI(net)
-		case strings.HasPrefix(up, "OUTPUT(") || strings.HasPrefix(up, "OUTPUT ("):
+		case hasPrefixFold(line, "OUTPUT(") || hasPrefixFold(line, "OUTPUT ("):
 			net, err := parseParen(line)
 			if err != nil {
 				return nil, fmt.Errorf("netlist: %s:%d: %w", name, lineNo, err)
@@ -453,21 +583,21 @@ func Parse(name string, r io.Reader) (*Circuit, error) {
 			}
 			switch strings.ToUpper(kindName) {
 			case "NOT", "INV":
-				c.AddGate(Inv, out, ins...)
+				c.addGate(Inv, out, ins)
 			case "BUF", "BUFF":
-				c.AddGate(Buf, out, ins...)
+				c.addGate(Buf, out, ins)
 			case "NAND":
-				c.AddGate(Nand, out, ins...)
+				c.addGate(Nand, out, ins)
 			case "NOR":
-				c.AddGate(Nor, out, ins...)
+				c.addGate(Nor, out, ins)
 			case "AND":
 				inner := out + "_n"
-				c.AddGate(Nand, inner, ins...)
-				c.AddGate(Inv, out, inner)
+				c.addGate(Nand, inner, ins)
+				c.addGate(Inv, out, []string{inner})
 			case "OR":
 				inner := out + "_n"
-				c.AddGate(Nor, inner, ins...)
-				c.AddGate(Inv, out, inner)
+				c.addGate(Nor, inner, ins)
+				c.addGate(Inv, out, []string{inner})
 			default:
 				return nil, fmt.Errorf("netlist: %s:%d: unsupported gate type %q", name, lineNo, kindName)
 			}
@@ -480,6 +610,38 @@ func Parse(name string, r io.Reader) (*Circuit, error) {
 		return nil, err
 	}
 	return c, nil
+}
+
+// maxLineLen is the longest .bench line Parse accepts (1 MiB).
+const maxLineLen = 1024 * 1024
+
+// addGate is AddGate taking ownership of inputs instead of copying them.
+func (c *Circuit) addGate(kind GateKind, output string, inputs []string) {
+	c.Gates = append(c.Gates, Gate{ID: len(c.Gates), Kind: kind, Output: output, Inputs: inputs})
+	c.invalidate()
+}
+
+// hasPrefixFold reports whether strings.ToUpper(s) starts with the
+// upper-case ASCII prefix. ASCII input is compared in place; the rare
+// line with a non-ASCII byte in the way takes the copying path, whose
+// Unicode case mapping it must match.
+func hasPrefixFold(s, prefix string) bool {
+	for i := 0; i < len(prefix); i++ {
+		if i >= len(s) {
+			return false
+		}
+		b := s[i]
+		if b >= 0x80 {
+			return strings.HasPrefix(strings.ToUpper(s), prefix)
+		}
+		if 'a' <= b && b <= 'z' {
+			b -= 'a' - 'A'
+		}
+		if b != prefix[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func parseParen(line string) (string, error) {
@@ -508,12 +670,19 @@ func parseAssign(line string) (out, kind string, ins []string, err error) {
 		return "", "", nil, fmt.Errorf("malformed gate expression %q", rhs)
 	}
 	kind = strings.TrimSpace(rhs[:open])
-	for _, part := range strings.Split(rhs[open+1:close], ",") {
+	args := rhs[open+1 : close]
+	ins = make([]string, 0, strings.Count(args, ",")+1)
+	for {
+		part, rest, more := strings.Cut(args, ",")
 		p := strings.TrimSpace(part)
 		if p == "" {
 			return "", "", nil, fmt.Errorf("empty input in %q", rhs)
 		}
 		ins = append(ins, p)
+		if !more {
+			break
+		}
+		args = rest
 	}
 	if out == "" || kind == "" || len(ins) == 0 {
 		return "", "", nil, fmt.Errorf("malformed gate line %q", line)

@@ -1,6 +1,7 @@
 package netlist
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"strings"
@@ -240,5 +241,101 @@ func TestNets(t *testing.T) {
 	nets := c.Nets()
 	if len(nets) != 11 { // 5 PIs + 6 gate outputs
 		t.Errorf("nets = %v (len %d), want 11", nets, len(nets))
+	}
+}
+
+// TestParseLineLengthLimit pins the 1 MiB line limit: Parse starts with a
+// small scanner buffer, yet a line just under the limit still parses and a
+// longer one still fails with the scanner's token-too-long error.
+func TestParseLineLengthLimit(t *testing.T) {
+	long := func(n int) string { return "#" + strings.Repeat("x", n-1) + "\n" + c17Bench }
+	c, err := Parse("long", strings.NewReader(long(maxLineLen-1)))
+	if err != nil {
+		t.Fatalf("line of %d bytes: %v", maxLineLen-1, err)
+	}
+	if c.NumGates() != 6 {
+		t.Fatalf("parsed %d gates after the long line, want 6", c.NumGates())
+	}
+	_, err = Parse("long", strings.NewReader(long(maxLineLen+1)))
+	if !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("line of %d bytes: err = %v, want bufio.ErrTooLong", maxLineLen+1, err)
+	}
+	if want := "netlist: long: bufio.Scanner: token too long"; err.Error() != want {
+		t.Fatalf("err = %q, want %q", err, want)
+	}
+}
+
+// TestParseKeywordCase: declaration keywords match in any case.
+func TestParseKeywordCase(t *testing.T) {
+	c, err := Parse("case", strings.NewReader("input(a)\nInput (b)\noUTPUT(z)\nz = nand(a, b)\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.PIs) != 2 || len(c.POs) != 1 || c.NumGates() != 1 {
+		t.Fatalf("parsed %d PIs, %d POs, %d gates; want 2, 1, 1", len(c.PIs), len(c.POs), c.NumGates())
+	}
+}
+
+// TestDenseIDsMatchNames cross-checks the id accessors against the string
+// accessors, including a net consumed twice by one gate.
+func TestDenseIDsMatchNames(t *testing.T) {
+	c, err := Parse("dup", strings.NewReader(c17Bench+"OUTPUT(d)\nd = NAND(22, 22)\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.NumNets() != len(c.PIs)+c.NumGates() {
+		t.Fatalf("NumNets = %d, want %d", c.NumNets(), len(c.PIs)+c.NumGates())
+	}
+	for id := 0; id < c.NumNets(); id++ {
+		net := c.NetName(id)
+		if got, ok := c.NetID(net); !ok || got != id {
+			t.Fatalf("NetID(%q) = %d, %v; want %d", net, got, ok, id)
+		}
+		gi, driven := c.NetDriver(id)
+		wgi, wdriven := c.Driver(net)
+		if gi != wgi || driven != wdriven || driven != !c.IsPI(net) {
+			t.Fatalf("net %q: NetDriver = %d,%v, Driver = %d,%v", net, gi, driven, wgi, wdriven)
+		}
+		if driven && c.GateOutputID(gi) != id {
+			t.Fatalf("GateOutputID(%d) = %d, want %d", gi, c.GateOutputID(gi), id)
+		}
+		fan := c.Fanout(net)
+		ids := c.FanoutIDs(id)
+		if len(fan) != len(ids) || c.FanoutCountID(id) != c.FanoutCount(net) {
+			t.Fatalf("net %q: fan-out %v vs ids %v", net, fan, ids)
+		}
+		for k := range fan {
+			if fan[k] != int(ids[k]) {
+				t.Fatalf("net %q: fan-out %v vs ids %v", net, fan, ids)
+			}
+		}
+	}
+	if got := c.FanoutCount("22"); got != 2 {
+		t.Fatalf("FanoutCount(22) = %d, want 2 (both pins of gate d)", got)
+	}
+	for gi := range c.Gates {
+		ids := c.GateInputIDs(gi)
+		for k, in := range c.Gates[gi].Inputs {
+			if c.NetName(int(ids[k])) != in {
+				t.Fatalf("gate %d pin %d: id %d names %q, want %q", gi, k, ids[k], c.NetName(int(ids[k])), in)
+			}
+		}
+	}
+}
+
+func TestCellNameDoesNotAllocate(t *testing.T) {
+	g := &Gate{Kind: Nand, Inputs: []string{"a", "b", "c"}}
+	if n := testing.AllocsPerRun(100, func() { _ = g.CellName() }); n != 0 {
+		t.Fatalf("CellName allocates %v times per call", n)
+	}
+	for _, tc := range []struct {
+		kind GateKind
+		n    int
+		want string
+	}{{Nor, 2, "NOR2"}, {Nand, 20, "NAND20"}, {GateKind(9), 2, "2"}} {
+		g := &Gate{Kind: tc.kind, Inputs: make([]string, tc.n)}
+		if got := g.CellName(); got != tc.want {
+			t.Errorf("CellName(%v, %d inputs) = %q, want %q", tc.kind, tc.n, got, tc.want)
+		}
 	}
 }

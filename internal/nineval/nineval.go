@@ -282,11 +282,15 @@ func implyFrame(c *netlist.Circuit, cube Cube, frame int) bool {
 	}
 	// touch re-queues every gate adjacent to a changed net.
 	touch := func(net string) {
-		if gi, ok := c.Driver(net); ok {
+		id, ok := c.NetID(net)
+		if !ok {
+			return
+		}
+		if gi, ok := c.NetDriver(id); ok {
 			enqueue(gi)
 		}
-		for _, gi := range c.Fanout(net) {
-			enqueue(gi)
+		for _, gi := range c.FanoutIDs(id) {
+			enqueue(int(gi))
 		}
 	}
 	// set assigns a frame value; false on conflict.

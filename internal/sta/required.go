@@ -1,8 +1,10 @@
 package sta
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 
 	"sstiming/internal/core"
 	"sstiming/internal/netlist"
@@ -30,150 +32,138 @@ type Constraint struct {
 }
 
 // RequiredTimes performs the backward traversal of Section 4 and returns
-// the required-time windows for every line. It uses the arrival/transition
-// windows already computed by Analyze to evaluate the delay bounds along
-// each input-to-output arc.
+// the required-time windows for every line it reaches. It uses the
+// arrival/transition windows already computed by Analyze to evaluate the
+// delay bounds along each input-to-output arc.
 func (r *Result) RequiredTimes(cons Constraint) map[string]*LineRequired {
-	c := r.Circuit
-	req := make(map[string]*LineRequired, len(r.Lines))
-	get := func(net string) *LineRequired {
-		lr, ok := req[net]
-		if !ok {
-			lr = &LineRequired{
-				Rise: Required{QS: math.Inf(-1), QL: math.Inf(1)},
-				Fall: Required{QS: math.Inf(-1), QL: math.Inf(1)},
-			}
-			req[net] = lr
+	req, reached := r.required(cons)
+	n := 0
+	for _, ok := range reached {
+		if ok {
+			n++
 		}
-		return lr
+	}
+	out := make(map[string]*LineRequired, n)
+	for id, ok := range reached {
+		if ok {
+			out[r.Circuit.NetName(id)] = &req[id]
+		}
+	}
+	return out
+}
+
+// required is the backward pass over dense per-net-id slices: req[id] is
+// the required window of net id, and reached[id] reports whether the pass
+// reached the net (a primary output, or a pin or output of a gate with a
+// library cell) — exactly the nets RequiredTimes reports.
+func (r *Result) required(cons Constraint) (req []LineRequired, reached []bool) {
+	c := r.Circuit
+	req = make([]LineRequired, len(r.timing))
+	reached = make([]bool, len(r.timing))
+	open := Required{QS: math.Inf(-1), QL: math.Inf(1)}
+	for id := range req {
+		req[id] = LineRequired{Rise: open, Fall: open}
 	}
 
 	for _, po := range c.POs {
-		lr := get(po)
-		tighten(&lr.Rise, cons.MinTime, cons.MaxTime)
-		tighten(&lr.Fall, cons.MinTime, cons.MaxTime)
+		id, _ := c.NetID(po)
+		reached[id] = true
+		tighten(&req[id].Rise, cons.MinTime, cons.MaxTime)
+		tighten(&req[id].Fall, cons.MinTime, cons.MaxTime)
 	}
 
+	var pairs core.PairTable
+	var cornerBuf [core.MaxTablePins]core.Corner
 	order := c.TopoOrder()
 	for i := len(order) - 1; i >= 0; i-- {
-		g := &c.Gates[order[i]]
+		gi := order[i]
+		g := &c.Gates[gi]
 		cell, ok := r.libCell(g)
 		if !ok {
 			continue
 		}
-		extraLoad := float64(c.FanoutCount(g.Output)-1) * cell.RefLoad
-		zReq := get(g.Output)
+		out := c.GateOutputID(gi)
+		extraLoad := float64(c.FanoutCountID(out)-1) * cell.RefLoad
+		reached[out] = true
+		zReq := &req[out]
+		ins := c.GateInputIDs(gi)
 
-		for x, in := range g.Inputs {
-			inLT := r.Lines[in]
-			if inLT == nil {
-				continue
+		// In proposed mode the fastest to-controlling corner of each
+		// arc pairs its input with every other input switching
+		// simultaneously, at the shortest transition times: prepare
+		// each input's corner there once per gate.
+		var corners []core.Corner
+		if r.Mode == ModeProposed && cell.N >= 2 {
+			corners = cornerBuf[:0]
+			for x, id := range ins {
+				corners = append(corners, cell.CtrlCorner(x, r.ctrlWindow(g.Kind, int(id)).TS, extraLoad))
 			}
-			xReq := get(in)
+			pairs.Resolve(cell)
+		}
+
+		for x, id := range ins {
+			lt := &r.timing[id]
+			reached[id] = true
+			xReq := &req[id]
 
 			// Direction mapping: which input direction produces
-			// which output direction.
-			type arc struct {
-				inRise bool
-				outReq *Required
-				ctrl   bool
-				inWin  Window
-			}
-			var arcs []arc
+			// which output direction, and through which pin table.
+			var ctrlOut, ncOut *Required // output requirement per arc
+			var ctrlIn, ncIn *Required   // input requirement per arc
+			var ctrlWin, ncWin Window
 			switch g.Kind {
-			case netlist.Inv:
-				arcs = []arc{
-					{inRise: false, outReq: &zReq.Rise, ctrl: true, inWin: inLT.Fall},
-					{inRise: true, outReq: &zReq.Fall, ctrl: false, inWin: inLT.Rise},
-				}
+			case netlist.Inv, netlist.Nand:
+				ctrlOut, ctrlIn, ctrlWin = &zReq.Rise, &xReq.Fall, lt.Fall
+				ncOut, ncIn, ncWin = &zReq.Fall, &xReq.Rise, lt.Rise
 			case netlist.Buf:
-				arcs = []arc{
-					{inRise: true, outReq: &zReq.Rise, ctrl: true, inWin: inLT.Rise},
-					{inRise: false, outReq: &zReq.Fall, ctrl: false, inWin: inLT.Fall},
-				}
-			case netlist.Nand:
-				arcs = []arc{
-					{inRise: false, outReq: &zReq.Rise, ctrl: true, inWin: inLT.Fall},
-					{inRise: true, outReq: &zReq.Fall, ctrl: false, inWin: inLT.Rise},
-				}
+				ctrlOut, ctrlIn, ctrlWin = &zReq.Rise, &xReq.Rise, lt.Rise
+				ncOut, ncIn, ncWin = &zReq.Fall, &xReq.Fall, lt.Fall
 			case netlist.Nor:
-				arcs = []arc{
-					{inRise: true, outReq: &zReq.Fall, ctrl: true, inWin: inLT.Rise},
-					{inRise: false, outReq: &zReq.Rise, ctrl: false, inWin: inLT.Fall},
-				}
+				ctrlOut, ctrlIn, ctrlWin = &zReq.Fall, &xReq.Rise, lt.Rise
+				ncOut, ncIn, ncWin = &zReq.Rise, &xReq.Fall, lt.Fall
+			default:
+				continue
 			}
 
-			for _, a := range arcs {
-				dMin, dMax := r.arcDelayBounds(cell, g, x, a.ctrl, a.inWin, extraLoad)
-				var tgt *Required
-				if a.inRise {
-					tgt = &xReq.Rise
-				} else {
-					tgt = &xReq.Fall
+			dMin, dMax := pinDelayBounds(&cell.CtrlPins[x], ctrlWin, extraLoad)
+			for y := range corners {
+				if y == x {
+					continue
 				}
-				tighten(tgt, a.outReq.QS-dMin, a.outReq.QL-dMax)
+				if d := cell.DelayCtrl2At(pairs.Pair(x, y), pairs.Pair(y, x), x, corners[x], corners[y], 0, extraLoad); d < dMin {
+					dMin = d
+				}
 			}
+			tighten(ctrlIn, ctrlOut.QS-dMin, ctrlOut.QL-dMax)
+
+			dMin, dMax = pinDelayBounds(&cell.NonCtrlPins[x], ncWin, extraLoad)
+			tighten(ncIn, ncOut.QS-dMin, ncOut.QL-dMax)
 		}
 	}
-	return req
+	return req, reached
 }
 
-// arcDelayBounds returns [dMin, dMax] of the delay from input pin x to the
-// gate output for the given response direction. In proposed mode the
-// minimum additionally considers zero-skew simultaneous switching with each
-// other input (the fastest achievable corner).
-func (r *Result) arcDelayBounds(cell *core.CellModel, g *netlist.Gate, x int, ctrl bool, inWin Window, extraLoad float64) (dMin, dMax float64) {
-	pins := cell.NonCtrlPins
-	if ctrl {
-		pins = cell.CtrlPins
-	}
-	p := &pins[x]
+// pinDelayBounds returns [dMin, dMax] of one pin-to-pin arc over the
+// input's transition-time range, load included.
+func pinDelayBounds(p *core.PinTiming, inWin Window, extraLoad float64) (dMin, dMax float64) {
 	loadD := p.DelayLoadSlope * extraLoad
 	_, dMin = p.Delay.MinOver(inWin.TS, inWin.TL)
 	_, dMax = p.Delay.MaxOver(inWin.TS, inWin.TL)
-	dMin += loadD
-	dMax += loadD
-
-	if ctrl && r.Mode == ModeProposed && cell.N >= 2 {
-		for y := 0; y < cell.N; y++ {
-			if y == x {
-				continue
-			}
-			// Fastest corner: the partner switches simultaneously
-			// with the shortest transition times.
-			yWin := r.partnerWindow(g, y, ctrl)
-			if d := cell.DelayCtrl2(x, y, inWin.TS, yWin.TS, 0, extraLoad); d < dMin {
-				dMin = d
-			}
-		}
-	}
-	return dMin, dMax
+	return dMin + loadD, dMax + loadD
 }
 
-// partnerWindow returns the controlling-direction window of input pin y of
-// gate g (falling for NAND, rising for NOR).
-func (r *Result) partnerWindow(g *netlist.Gate, y int, ctrl bool) Window {
-	lt := r.Lines[g.Inputs[y]]
-	if lt == nil {
-		return Window{TS: 0.2e-9, TL: 0.2e-9}
+// ctrlWindow returns net id's window in the to-controlling input direction
+// of a gate of the given kind (falling for NAND, rising for NOR).
+func (r *Result) ctrlWindow(kind netlist.GateKind, id int) Window {
+	if kind == netlist.Nor {
+		return r.timing[id].Rise
 	}
-	rising := false
-	switch g.Kind {
-	case netlist.Nor:
-		rising = ctrl
-	case netlist.Nand:
-		rising = !ctrl
-	}
-	if rising {
-		return lt.Rise
-	}
-	return lt.Fall
+	return r.timing[id].Fall
 }
 
 func (r *Result) libCell(g *netlist.Gate) (*core.CellModel, bool) {
-	// The forward pass already resolved every cell; re-resolve from the
-	// window data by name lookup through any line. Cells are stored per
-	// analysis options, so keep a simple name->cell map on first use.
+	// The forward pass already resolved every cell, but the circuit may
+	// have been edited since (gate swaps); resolve by name, memoised.
 	if r.cellCache == nil {
 		r.cellCache = map[string]*core.CellModel{}
 	}
@@ -209,31 +199,59 @@ type Violation struct {
 	Slack float64
 }
 
+// SortViolations puts violations in their report order, a total order:
+// by slack (most negative first), then net name, then rising before
+// falling, then setup before hold. Every net on one critical path shares
+// its slack, so anything less than a total order would let ties come out
+// differently from call to call.
+func SortViolations(v []Violation) {
+	slices.SortFunc(v, func(a, b Violation) int {
+		if c := cmp.Compare(a.Slack, b.Slack); c != 0 {
+			return c
+		}
+		if a.Net != b.Net {
+			return strings.Compare(a.Net, b.Net)
+		}
+		if a.Rising != b.Rising {
+			if a.Rising {
+				return -1
+			}
+			return 1
+		}
+		if a.Setup != b.Setup {
+			if a.Setup {
+				return -1
+			}
+			return 1
+		}
+		return 0
+	})
+}
+
 // CheckViolations compares the arrival windows against the required windows
-// derived from the PO constraint and returns every failing line, sorted by
-// slack (most negative first).
+// derived from the PO constraint and returns every failing line in
+// SortViolations order. It runs the backward pass of RequiredTimes without
+// building its map.
 func (r *Result) CheckViolations(cons Constraint) []Violation {
-	req := r.RequiredTimes(cons)
+	req, reached := r.required(cons)
 	var out []Violation
-	for net, lt := range r.Lines {
-		lr, ok := req[net]
-		if !ok {
-			continue
+	check := func(id int, w Window, q Required, rising bool) {
+		if math.IsInf(q.QL, 1) && math.IsInf(q.QS, -1) {
+			return
 		}
-		check := func(w Window, q Required, rising bool) {
-			if math.IsInf(q.QL, 1) && math.IsInf(q.QS, -1) {
-				return
-			}
-			if s := q.QL - w.AL; s < 0 {
-				out = append(out, Violation{Net: net, Rising: rising, Setup: true, Slack: s})
-			}
-			if s := w.AS - q.QS; s < 0 {
-				out = append(out, Violation{Net: net, Rising: rising, Setup: false, Slack: s})
-			}
+		if s := q.QL - w.AL; s < 0 {
+			out = append(out, Violation{Net: r.Circuit.NetName(id), Rising: rising, Setup: true, Slack: s})
 		}
-		check(lt.Rise, lr.Rise, true)
-		check(lt.Fall, lr.Fall, false)
+		if s := w.AS - q.QS; s < 0 {
+			out = append(out, Violation{Net: r.Circuit.NetName(id), Rising: rising, Setup: false, Slack: s})
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Slack < out[j].Slack })
+	for id, ok := range reached {
+		if ok {
+			check(id, r.timing[id].Rise, req[id].Rise, true)
+			check(id, r.timing[id].Fall, req[id].Fall, false)
+		}
+	}
+	SortViolations(out)
 	return out
 }

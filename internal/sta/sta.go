@@ -97,8 +97,9 @@ type Options struct {
 	// never a partial result.
 	Ctx context.Context
 	// Jobs bounds the engine worker pool used to propagate the gates of
-	// one logic level concurrently; zero or one runs serially. Windows
-	// are independent of the worker count.
+	// one logic level concurrently; zero selects GOMAXPROCS
+	// (engine.Workers) and one runs serially. Windows are independent of
+	// the worker count.
 	Jobs int
 	// Metrics, when non-nil, counts propagated gates and timing arcs.
 	Metrics *engine.Metrics
@@ -108,9 +109,13 @@ type Options struct {
 type Result struct {
 	Circuit *netlist.Circuit
 	Mode    Mode
-	Lines   map[string]*LineTiming
+	// Lines maps every net to its windows. The entries point into one
+	// array indexed by net id (netlist.Circuit.NetID), which the backward
+	// pass reads directly; edit windows through these pointers only.
+	Lines map[string]*LineTiming
 
 	lib       *core.Library
+	timing    []LineTiming // per net id; Lines points into it
 	cellCache map[string]*core.CellModel
 }
 
@@ -146,15 +151,19 @@ func Analyze(c *netlist.Circuit, opts Options) (*Result, error) {
 // violation checks without a fresh full analysis. The snapshot is a copy:
 // later graph edits do not disturb it.
 func FromGraph(g *tgraph.Graph) *Result {
+	c := g.Circuit()
 	res := &Result{
-		Circuit: g.Circuit(),
+		Circuit: c,
 		Mode:    g.Mode(),
 		Lines:   make(map[string]*LineTiming, g.NumLines()),
 		lib:     g.Lib(),
+		timing:  make([]LineTiming, g.NumLines()),
 	}
-	g.Lines(func(net string, li twindow.LineInfo) {
-		res.Lines[net] = &LineTiming{Rise: li.Rise, Fall: li.Fall}
-	})
+	for id := range res.timing {
+		li := g.LineAt(id)
+		res.timing[id] = LineTiming{Rise: li.Rise, Fall: li.Fall}
+		res.Lines[c.NetName(id)] = &res.timing[id]
+	}
 	return res
 }
 

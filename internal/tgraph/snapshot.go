@@ -153,8 +153,9 @@ func (g *Graph) EncodeSnapshot() ([]byte, error) {
 			s.RawCube[net] = v.String()
 		}
 	}
-	for net, li := range g.lines {
-		s.Lines[net] = snapshotLine{Rise: encodeWindow(li.Rise), Fall: encodeWindow(li.Fall)}
+	for id := range g.lines {
+		li := &g.lines[id]
+		s.Lines[g.c.NetName(id)] = snapshotLine{Rise: encodeWindow(li.Rise), Fall: encodeWindow(li.Fall)}
 	}
 	return json.Marshal(s)
 }
@@ -223,31 +224,20 @@ func RestoreSnapshot(data []byte, opts Options) (*Graph, error) {
 		return nil, fmt.Errorf("%w: raw cube is inconsistent with the netlist", ErrBadSnapshot)
 	}
 	g.raw = raw
-	g.implied = implied
+	g.setImplied(implied)
 
 	// Install the checkpointed windows over every line the graph owns —
 	// each primary input and each gate output, no more, no fewer.
-	install := func(net string) error {
+	for id := range g.lines {
+		net := c.NetName(id)
 		sl, ok := s.Lines[net]
 		if !ok {
-			return fmt.Errorf("%w: no line state for net %q", ErrBadSnapshot, net)
+			return nil, fmt.Errorf("%w: no line state for net %q", ErrBadSnapshot, net)
 		}
-		v := implied.Get(net)
-		li := twindow.LineInfo{
+		v := g.value[id]
+		g.lines[id] = twindow.LineInfo{
 			Value: v, SRise: v.StateRise(), SFall: v.StateFall(),
 			Rise: decodeWindow(sl.Rise), Fall: decodeWindow(sl.Fall),
-		}
-		g.lines[net] = &li
-		return nil
-	}
-	for _, pi := range c.PIs {
-		if err := install(pi); err != nil {
-			return nil, err
-		}
-	}
-	for i := range c.Gates {
-		if err := install(c.Gates[i].Output); err != nil {
-			return nil, err
 		}
 	}
 	if len(s.Lines) != len(g.lines) {

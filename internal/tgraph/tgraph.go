@@ -70,9 +70,10 @@ type Options struct {
 	// spice.ErrCancelled and no graph.
 	Ctx context.Context
 	// Jobs bounds the engine worker pool used for the initial full
-	// convergence (one logic level fans out at a time); zero or one runs
-	// serially. Windows are independent of the worker count. Incremental
-	// re-convergence is always serial: edited cones are small by design.
+	// convergence (one logic level fans out at a time); zero selects
+	// GOMAXPROCS (engine.Workers) and one runs serially. Windows are
+	// independent of the worker count. Incremental re-convergence is
+	// always serial: edited cones are small by design.
 	Jobs int
 	// Metrics, when non-nil, counts propagated gates, arcs and edits.
 	Metrics *engine.Metrics
@@ -85,6 +86,11 @@ type Options struct {
 // Graph is a persistent timing graph. It is not safe for concurrent use;
 // callers serialize access (the service layer holds a per-session lock, and
 // each ATPG fault worker owns a private Graph).
+//
+// Per-line state is dense: lines, value and changed are indexed by the
+// circuit's net ids (netlist.Circuit.NetID — primary inputs first, then
+// gate i's output at len(PIs)+i), and per-gate state by gate index, so
+// convergence never hashes a net name.
 type Graph struct {
 	c    *netlist.Circuit
 	opts Options
@@ -94,24 +100,27 @@ type Graph struct {
 	levels    [][]int           // gate indices per logic level
 	gateLevel []int
 
-	raw     nineval.Cube // caller-supplied assignments
-	implied nineval.Cube // implication fixpoint of raw
+	raw     nineval.Cube    // caller-supplied assignments
+	implied nineval.Cube    // implication fixpoint of raw
+	value   []nineval.Value // per net id: implied.Get(net)
 	perPI   map[string]twindow.PITiming
 
-	lines map[string]*twindow.LineInfo
+	lines []twindow.LineInfo // per net id
 
 	dirty      []bool  // per gate
-	dirtyAt    [][]int // per level
+	dirtyAt    [][]int // per level; capacity = the level's gate count
 	dirtyCount int
+	outs       []twindow.LineInfo // one level's results, reused
 
 	// poisoned marks a graph whose last edit failed mid-convergence:
 	// window state may be partially propagated. Heal (run automatically
 	// by the next edit) re-converges everything from the retained cube.
 	poisoned bool
 
-	// changed accumulates the nets whose LineInfo changed during the last
-	// successful edit.
-	changed map[string]bool
+	// changed marks the nets whose LineInfo changed during the last
+	// successful edit; changedNets lists them.
+	changed     []bool // per net id
+	changedNets []int32
 }
 
 // New builds a Graph over the circuit and fully converges its windows under
@@ -134,29 +143,51 @@ func newSkeleton(c *netlist.Circuit, opts Options) (*Graph, error) {
 	if opts.PI == (twindow.PITiming{}) {
 		opts.PI = twindow.DefaultPITiming()
 	}
+	nGates, nNets := len(c.Gates), c.NumNets()
 	g := &Graph{
-		c:         c,
-		opts:      opts,
-		cells:     make([]*core.CellModel, len(c.Gates)),
-		extraLoad: make([]float64, len(c.Gates)),
-		gateLevel: make([]int, len(c.Gates)),
-		perPI:     make(map[string]twindow.PITiming, len(opts.PerPI)),
-		lines:     make(map[string]*twindow.LineInfo, len(c.Gates)+len(c.PIs)),
-		dirty:     make([]bool, len(c.Gates)),
-		changed:   make(map[string]bool),
+		c:           c,
+		opts:        opts,
+		cells:       make([]*core.CellModel, nGates),
+		extraLoad:   make([]float64, nGates),
+		gateLevel:   make([]int, nGates),
+		perPI:       make(map[string]twindow.PITiming, len(opts.PerPI)),
+		value:       make([]nineval.Value, nNets),
+		lines:       make([]twindow.LineInfo, nNets),
+		dirty:       make([]bool, nGates),
+		changed:     make([]bool, nNets),
+		changedNets: make([]int32, 0, nNets),
 	}
 	for name, p := range opts.PerPI {
 		g.perPI[name] = p
 	}
-	for _, gi := range c.TopoOrder() {
+
+	// Levelize into one backing array: count each level, carve, fill in
+	// topological order. dirtyAt gets the same shape, since a gate is
+	// queued at most once per pass.
+	var width []int
+	for gi := range c.Gates {
 		lvl := c.Level(gi)
 		g.gateLevel[gi] = lvl
-		for len(g.levels) <= lvl {
-			g.levels = append(g.levels, nil)
+		for len(width) <= lvl {
+			width = append(width, 0)
 		}
+		width[lvl]++
+	}
+	g.levels = make([][]int, len(width))
+	g.dirtyAt = make([][]int, len(width))
+	backing := make([]int, 2*nGates)
+	maxWidth := 0
+	for lvl, n := range width {
+		g.levels[lvl], backing = backing[:0:n], backing[n:]
+		g.dirtyAt[lvl], backing = backing[:0:n], backing[n:]
+		maxWidth = max(maxWidth, n)
+	}
+	for _, gi := range c.TopoOrder() {
+		lvl := g.gateLevel[gi]
 		g.levels[lvl] = append(g.levels[lvl], gi)
 	}
-	g.dirtyAt = make([][]int, len(g.levels))
+	g.outs = make([]twindow.LineInfo, maxWidth)
+
 	for i := range c.Gates {
 		gate := &c.Gates[i]
 		cell, ok := opts.Lib.Cell(gate.CellName())
@@ -164,9 +195,30 @@ func newSkeleton(c *netlist.Circuit, opts Options) (*Graph, error) {
 			return nil, fmt.Errorf("tgraph: no library cell %q for gate %q", gate.CellName(), gate.Output)
 		}
 		g.cells[i] = cell
-		g.extraLoad[i] = float64(c.FanoutCount(gate.Output)-1) * cell.RefLoad
+		g.extraLoad[i] = float64(c.FanoutCountID(c.GateOutputID(i))-1) * cell.RefLoad
 	}
 	return g, nil
+}
+
+// setImplied installs the implied cube and its dense mirror.
+func (g *Graph) setImplied(implied nineval.Cube) {
+	g.implied = implied
+	for id := range g.value {
+		g.value[id] = nineval.VXX
+	}
+	for net, v := range implied {
+		if id, ok := g.c.NetID(net); ok {
+			g.value[id] = v
+		}
+	}
+}
+
+// seedPIs installs every primary input's line from its stimulus and
+// implied value.
+func (g *Graph) seedPIs() {
+	for id, pi := range g.c.PIs {
+		g.lines[id] = twindow.PILine(g.value[id], g.piTiming(pi))
+	}
 }
 
 // NewWithCube builds a Graph and fully converges its windows under the
@@ -184,23 +236,16 @@ func NewWithCube(c *netlist.Circuit, cube nineval.Cube, opts Options) (*Graph, e
 		return nil, fmt.Errorf("%w: %s", ErrInconsistent, cube.String())
 	}
 	g.raw = cube.Clone()
-	g.implied = implied
+	g.setImplied(implied)
 
 	// Seed the PI lines and mark every gate dirty for the initial full
 	// convergence.
-	for _, pi := range c.PIs {
-		li := twindow.PILine(g.implied.Get(pi), g.piTiming(pi))
-		g.lines[pi] = &li
-	}
-	for _, lvlGates := range g.levels {
-		for _, gi := range lvlGates {
-			g.markDirty(gi)
-		}
-	}
+	g.seedPIs()
+	g.markAllDirty()
 	if err := g.converge(opts.Ctx, opts.Jobs); err != nil {
 		return nil, err
 	}
-	g.changed = make(map[string]bool)
+	g.resetChanged()
 	return g, nil
 }
 
@@ -233,33 +278,84 @@ func (g *Graph) markDirty(gi int) {
 	g.dirtyCount++
 }
 
-// touchNet propagates a changed line: its consumers must re-evaluate.
-func (g *Graph) touchNet(net string) {
-	for _, gi := range g.c.Fanout(net) {
-		g.markDirty(gi)
+// markAllDirty queues every gate, for a full convergence pass.
+func (g *Graph) markAllDirty() {
+	for _, lvlGates := range g.levels {
+		for _, gi := range lvlGates {
+			g.markDirty(gi)
+		}
 	}
 }
 
+// touchNet propagates a changed line: its consumers must re-evaluate.
+func (g *Graph) touchNet(id int) {
+	for _, gi := range g.c.FanoutIDs(id) {
+		g.markDirty(int(gi))
+	}
+}
+
+// markChanged records that net id's LineInfo changed in this edit.
+func (g *Graph) markChanged(id int) {
+	if !g.changed[id] {
+		g.changed[id] = true
+		g.changedNets = append(g.changedNets, int32(id))
+	}
+}
+
+// resetChanged empties the changed-net accumulator.
+func (g *Graph) resetChanged() {
+	for _, id := range g.changedNets {
+		g.changed[id] = false
+	}
+	g.changedNets = g.changedNets[:0]
+}
+
+// setLine installs a line state, and when it differs from the current one
+// records the change and queues the net's consumers.
+func (g *Graph) setLine(id int, li twindow.LineInfo) {
+	if g.lines[id] == li {
+		return
+	}
+	g.lines[id] = li
+	g.markChanged(id)
+	g.touchNet(id)
+}
+
 // recomputeGate evaluates one gate's output LineInfo from current state.
+// The fan-in pointer list lives on the caller's stack up to
+// maxStackPins inputs.
 func (g *Graph) recomputeGate(gi int) (twindow.LineInfo, error) {
 	gate := &g.c.Gates[gi]
-	ins := make([]*twindow.LineInfo, len(gate.Inputs))
-	for i, in := range gate.Inputs {
-		li, ok := g.lines[in]
-		if !ok {
-			return twindow.LineInfo{}, fmt.Errorf("tgraph: gate %q input %q has no timing (order bug)", gate.Output, in)
-		}
-		ins[i] = li
+	ids := g.c.GateInputIDs(gi)
+	var buf [maxStackPins]*twindow.LineInfo
+	ins := buf[:0]
+	for _, id := range ids {
+		ins = append(ins, &g.lines[id])
 	}
 	g.opts.Metrics.Add(engine.STAGates, 1)
-	g.opts.Metrics.Add(engine.STAArcs, 2*int64(len(gate.Inputs)))
-	out, err := twindow.PropagateGate(g.cells[gi], gate.Kind, ins, g.implied.Get(gate.Output),
+	g.opts.Metrics.Add(engine.STAArcs, 2*int64(len(ids)))
+	out, err := twindow.PropagateGate(g.cells[gi], gate.Kind, ins, g.value[g.c.GateOutputID(gi)],
 		g.extraLoad[gi], g.opts.Mode, g.opts.NCExtension)
 	if err != nil {
 		return twindow.LineInfo{}, fmt.Errorf("tgraph: gate %q: %w", gate.Output, err)
 	}
 	return out, nil
 }
+
+// maxStackPins bounds the fan-in whose input list recomputeGate keeps on
+// the stack.
+const maxStackPins = 8
+
+// levelChunk is the number of gates one pulled fan-out job evaluates:
+// large enough to amortise the shared counter, small enough to balance a
+// level across workers.
+const levelChunk = 16
+
+// minFanOut is the narrowest level converge fans out. A gate costs about a
+// microsecond, so a narrower level's fan-out (waking a worker, then the
+// level barrier) would cost about what it saves, and nothing at all when
+// the host gives the process less than a second CPU.
+const minFanOut = 4 * levelChunk
 
 // converge drains the dirty frontier level by level. Gates within one level
 // are independent (they read only earlier levels), so the initial full pass
@@ -274,7 +370,9 @@ func (g *Graph) converge(ctx context.Context, jobs int) error {
 		if len(work) == 0 {
 			continue
 		}
-		g.dirtyAt[lvl] = nil
+		// Consumers sit on later levels, so re-queueing during the merge
+		// below never appends to this level's list.
+		g.dirtyAt[lvl] = work[:0]
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("tgraph: %w", spice.Cancelled(err))
@@ -285,8 +383,8 @@ func (g *Graph) converge(ctx context.Context, jobs int) error {
 				return fmt.Errorf("tgraph: level %d: %w", lvl, err)
 			}
 		}
-		outs := make([]twindow.LineInfo, len(work))
-		if engine.Workers(jobs) == 1 || len(work) == 1 {
+		outs := g.outs[:len(work)]
+		if engine.Workers(jobs) == 1 || len(work) < minFanOut {
 			for i, gi := range work {
 				var err error
 				if outs[i], err = g.recomputeGate(gi); err != nil {
@@ -294,10 +392,17 @@ func (g *Graph) converge(ctx context.Context, jobs int) error {
 				}
 			}
 		} else {
-			err := engine.Run(ctx, jobs, len(work), func(_ context.Context, i int) error {
-				var err error
-				outs[i], err = g.recomputeGate(work[i])
-				return err
+			// The level fans out in contiguous chunks that the pool's
+			// workers pull in turn; each gate writes only its own slot.
+			chunks := (len(work) + levelChunk - 1) / levelChunk
+			err := engine.Run(ctx, jobs, chunks, func(_ context.Context, k int) error {
+				for i := k * levelChunk; i < min((k+1)*levelChunk, len(work)); i++ {
+					var err error
+					if outs[i], err = g.recomputeGate(work[i]); err != nil {
+						return err
+					}
+				}
+				return nil
 			})
 			if err != nil {
 				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -309,15 +414,8 @@ func (g *Graph) converge(ctx context.Context, jobs int) error {
 		for i, gi := range work {
 			g.dirty[gi] = false
 			g.dirtyCount--
-			out := g.c.Gates[gi].Output
-			old := g.lines[out]
-			if old != nil && *old == outs[i] {
-				continue // converged: the cone stops here
-			}
-			li := outs[i]
-			g.lines[out] = &li
-			g.changed[out] = true
-			g.touchNet(out)
+			// An unchanged output ends the cone here.
+			g.setLine(g.c.GateOutputID(gi), outs[i])
 		}
 	}
 	// A deadline that fired after the last level still voids the pass:
@@ -334,8 +432,10 @@ func (g *Graph) converge(ctx context.Context, jobs int) error {
 // every window suspect; the next operation re-converges from scratch.
 func (g *Graph) poison() {
 	g.poisoned = true
-	g.dirty = make([]bool, len(g.c.Gates))
-	g.dirtyAt = make([][]int, len(g.levels))
+	clear(g.dirty)
+	for lvl := range g.dirtyAt {
+		g.dirtyAt[lvl] = g.dirtyAt[lvl][:0]
+	}
 	g.dirtyCount = 0
 }
 
@@ -351,15 +451,8 @@ func (g *Graph) Heal(ctx context.Context) error {
 	if !g.poisoned {
 		return nil
 	}
-	for _, pi := range g.c.PIs {
-		li := twindow.PILine(g.implied.Get(pi), g.piTiming(pi))
-		g.lines[pi] = &li
-	}
-	for _, lvlGates := range g.levels {
-		for _, gi := range lvlGates {
-			g.markDirty(gi)
-		}
-	}
+	g.seedPIs()
+	g.markAllDirty()
 	if err := g.converge(ctx, 1); err != nil {
 		g.poison()
 		return err
@@ -373,7 +466,7 @@ func (g *Graph) beginEdit(ctx context.Context) error {
 	if err := g.Heal(ctx); err != nil {
 		return err
 	}
-	g.changed = make(map[string]bool)
+	g.resetChanged()
 	g.opts.Metrics.Add(engine.TGraphEdits, 1)
 	return nil
 }
@@ -386,39 +479,39 @@ func (g *Graph) applyImplied(ctx context.Context, raw, implied nineval.Cube) err
 	prevRaw, prevImplied := g.raw, g.implied
 	g.raw, g.implied = raw, implied
 
-	// Diff over the union of keys: values absent from a cube are xx.
-	seen := make(map[string]bool, len(prevImplied)+len(implied))
+	// Diff over the union of keys: values absent from a cube are xx. Names
+	// outside the circuit carry no line.
 	diffNet := func(net string) {
-		if seen[net] {
+		v := implied.Get(net)
+		if prevImplied.Get(net) == v {
 			return
 		}
-		seen[net] = true
-		if prevImplied.Get(net) == implied.Get(net) {
+		id, ok := g.c.NetID(net)
+		if !ok {
 			return
 		}
-		if gi, ok := g.c.Driver(net); ok {
+		g.value[id] = v
+		if gi, ok := g.c.NetDriver(id); ok {
 			// The driving gate re-derives the line's full LineInfo
 			// (value, states and windows) during re-convergence.
 			g.markDirty(gi)
 			return
 		}
 		// Driverless lines are primary inputs: refresh in place.
-		li := twindow.PILine(implied.Get(net), g.piTiming(net))
-		if old := g.lines[net]; old == nil || *old != li {
-			g.lines[net] = &li
-			g.changed[net] = true
-			g.touchNet(net)
-		}
+		g.setLine(id, twindow.PILine(v, g.piTiming(net)))
 	}
 	for net := range prevImplied {
 		diffNet(net)
 	}
 	for net := range implied {
-		diffNet(net)
+		if _, done := prevImplied[net]; !done {
+			diffNet(net)
+		}
 	}
 
 	if err := g.converge(ctx, 1); err != nil {
-		g.raw, g.implied = prevRaw, prevImplied
+		g.raw = prevRaw
+		g.setImplied(prevImplied)
 		g.poison()
 		return err
 	}
@@ -462,12 +555,8 @@ func (g *Graph) SetPI(ctx context.Context, name string, p twindow.PITiming) erro
 	}
 	prev, hadPrev := g.perPI[name]
 	g.perPI[name] = p
-	li := twindow.PILine(g.implied.Get(name), p)
-	if old := g.lines[name]; old == nil || *old != li {
-		g.lines[name] = &li
-		g.changed[name] = true
-		g.touchNet(name)
-	}
+	id, _ := g.c.NetID(name)
+	g.setLine(id, twindow.PILine(g.value[id], p))
 	if err := g.converge(ctx, 1); err != nil {
 		if hadPrev {
 			g.perPI[name] = prev
@@ -513,7 +602,7 @@ func (g *Graph) SwapGate(ctx context.Context, net string, kind netlist.GateKind)
 	}
 	prevCell, prevLoad := g.cells[gi], g.extraLoad[gi]
 	g.cells[gi] = cell
-	g.extraLoad[gi] = float64(g.c.FanoutCount(net)-1) * cell.RefLoad
+	g.extraLoad[gi] = float64(g.c.FanoutCountID(g.c.GateOutputID(gi))-1) * cell.RefLoad
 	g.markDirty(gi)
 	if err := g.applyImplied(ctx, g.raw, implied); err != nil {
 		gate.Kind = prevKind
@@ -525,14 +614,14 @@ func (g *Graph) SwapGate(ctx context.Context, net string, kind netlist.GateKind)
 
 // NumChanged returns the number of lines whose LineInfo changed during the
 // last successful edit (the re-converged cone size), without allocating.
-func (g *Graph) NumChanged() int { return len(g.changed) }
+func (g *Graph) NumChanged() int { return len(g.changedNets) }
 
 // Changed returns the nets whose LineInfo changed during the last
 // successful edit, sorted.
 func (g *Graph) Changed() []string {
-	out := make([]string, 0, len(g.changed))
-	for net := range g.changed {
-		out = append(out, net)
+	out := make([]string, len(g.changedNets))
+	for i, id := range g.changedNets {
+		out[i] = g.c.NetName(int(id))
 	}
 	sort.Strings(out)
 	return out
@@ -540,20 +629,25 @@ func (g *Graph) Changed() []string {
 
 // Line returns a copy of the net's timing state.
 func (g *Graph) Line(net string) (twindow.LineInfo, bool) {
-	li, ok := g.lines[net]
+	id, ok := g.c.NetID(net)
 	if !ok {
 		return twindow.LineInfo{}, false
 	}
-	return *li, true
+	return g.lines[id], true
 }
+
+// LineAt returns the timing state of net id (see netlist.Circuit.NetID),
+// without a name lookup.
+func (g *Graph) LineAt(id int) *twindow.LineInfo { return &g.lines[id] }
 
 // Window returns the directional window of a net and whether it is defined
 // (the state is not SNo).
 func (g *Graph) Window(net string, rising bool) (twindow.Window, bool) {
-	li, ok := g.lines[net]
+	id, ok := g.c.NetID(net)
 	if !ok {
 		return twindow.Window{}, false
 	}
+	li := &g.lines[id]
 	if rising {
 		if !li.HasRise() {
 			return twindow.Window{}, false
@@ -566,10 +660,11 @@ func (g *Graph) Window(net string, rising bool) (twindow.Window, bool) {
 	return li.Fall, true
 }
 
-// Lines visits every line's timing state (iteration order unspecified).
+// Lines visits every line's timing state, in net id order (primary inputs
+// in declaration order, then gate outputs in gate order).
 func (g *Graph) Lines(visit func(net string, li twindow.LineInfo)) {
-	for net, li := range g.lines {
-		visit(net, *li)
+	for id := range g.lines {
+		visit(g.c.NetName(id), g.lines[id])
 	}
 }
 

@@ -71,19 +71,25 @@ func requireLinesEqual(t *testing.T, label string, got, want *Graph) {
 
 func TestFullConvergeMatchesParallel(t *testing.T) {
 	lib := prechar.MustLibrary()
-	c, err := benchgen.Load("c432")
-	if err != nil {
-		t.Fatal(err)
+	// c7552's levels are wide enough to fan out in chunks; c432's run
+	// inline at any width.
+	for _, name := range []string{"c432", "c7552"} {
+		c, err := benchgen.Load(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial, err := New(c, Options{Lib: lib, Jobs: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, jobs := range []int{2, 4} {
+			parallel, err := New(c, Options{Lib: lib, Jobs: jobs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireLinesEqual(t, fmt.Sprintf("%s jobs=%d", name, jobs), parallel, serial)
+		}
 	}
-	serial, err := New(c, Options{Lib: lib})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := New(c, Options{Lib: lib, Jobs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireLinesEqual(t, "jobs=4", parallel, serial)
 }
 
 func TestSetCubeMatchesFromScratch(t *testing.T) {

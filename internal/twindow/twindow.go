@@ -182,18 +182,29 @@ func propagateSingle(cell *core.CellModel, in *LineInfo, inRising, ctrl bool, ex
 	}, nil
 }
 
+// maxStackPins is the fan-in up to which the per-call input scratch lives
+// on the stack; wider gates spill to the heap.
+const maxStackPins = 8
+
 // ctrlInput captures one input that can make a transition in the direction
-// under consideration.
+// under consideration, with its window and its single-input (pin-to-pin)
+// bounds evaluated once per call.
 type ctrlInput struct {
 	pin      int
 	w        Window
 	definite bool
+	// dMin..tMax are the pin-to-pin delay and output transition bounds
+	// over the input's transition-time range, load included.
+	dMin, dMax, tMin, tMax float64
+	// cs and cl are the input's prepared to-controlling corners at TS and
+	// TL (set only where the pair rules need them).
+	cs, cl core.Corner
 }
 
-// collect returns the inputs whose transition in the given direction is not
-// ruled out, with their windows.
-func collect(ins []*LineInfo, rising bool) []ctrlInput {
-	var out []ctrlInput
+// collect appends to buf the inputs whose transition in the given
+// direction is not ruled out, with their windows and single-input bounds
+// under the given pin tables.
+func collect(buf []ctrlInput, ins []*LineInfo, rising bool, pins []core.PinTiming, extraLoad float64) []ctrlInput {
 	for i, li := range ins {
 		var s nineval.State
 		var w Window
@@ -205,9 +216,19 @@ func collect(ins []*LineInfo, rising bool) []ctrlInput {
 		if s == nineval.SNo {
 			continue
 		}
-		out = append(out, ctrlInput{pin: i, w: w, definite: s == nineval.SYes})
+		p := &pins[i]
+		loadD := p.DelayLoadSlope * extraLoad
+		loadT := p.TransLoadSlope * extraLoad
+		_, dMin := p.Delay.MinOver(w.TS, w.TL)
+		_, dMax := p.Delay.MaxOver(w.TS, w.TL)
+		_, tMin := p.Trans.MinOver(w.TS, w.TL)
+		_, tMax := p.Trans.MaxOver(w.TS, w.TL)
+		buf = append(buf, ctrlInput{
+			pin: i, w: w, definite: s == nineval.SYes,
+			dMin: dMin + loadD, dMax: dMax + loadD, tMin: tMin + loadT, tMax: tMax + loadT,
+		})
 	}
-	return out
+	return buf
 }
 
 // propagateCtrl computes the to-controlling output window (rising for NAND,
@@ -215,7 +236,8 @@ func collect(ins []*LineInfo, rising bool) []ctrlInput {
 // ctrlRising is the direction of the input transitions (falling for NAND,
 // rising for NOR). Pure STA is the all-SMaybe special case.
 func propagateCtrl(cell *core.CellModel, ins []*LineInfo, ctrlRising bool, extraLoad float64, mode Mode) (Window, error) {
-	allowed := collect(ins, ctrlRising)
+	var buf [maxStackPins]ctrlInput
+	allowed := collect(buf[:0], ins, ctrlRising, cell.CtrlPins, extraLoad)
 	if len(allowed) == 0 {
 		return Window{}, fmt.Errorf("to-controlling response possible but no input can transition")
 	}
@@ -225,40 +247,30 @@ func propagateCtrl(cell *core.CellModel, ins []*LineInfo, ctrlRising bool, extra
 	out.TS = math.Inf(1)
 	out.TL = math.Inf(-1)
 
-	single := func(a ctrlInput) (dMin, dMax, tMin, tMax float64) {
-		p := &cell.CtrlPins[a.pin]
-		loadD := p.DelayLoadSlope * extraLoad
-		loadT := p.TransLoadSlope * extraLoad
-		_, dMin = p.Delay.MinOver(a.w.TS, a.w.TL)
-		_, dMax = p.Delay.MaxOver(a.w.TS, a.w.TL)
-		_, tMin = p.Trans.MinOver(a.w.TS, a.w.TL)
-		_, tMax = p.Trans.MaxOver(a.w.TS, a.w.TL)
-		return dMin + loadD, dMax + loadD, tMin + loadT, tMax + loadT
-	}
-
 	// Latest arrival (Table 1's A..L rules): definite switchers bound how
 	// late the output can switch — take the min over their worst-case
 	// corners; with no definite switcher, the slowest potential single
 	// switcher is the bound.
-	var definite []ctrlInput
-	for _, a := range allowed {
-		if a.definite {
-			definite = append(definite, a)
+	hasDefinite := false
+	for i := range allowed {
+		if allowed[i].definite {
+			hasDefinite = true
+			break
 		}
 	}
-	if len(definite) > 0 {
+	if hasDefinite {
 		out.AL = math.Inf(1)
-		for _, a := range definite {
-			_, dMax, _, _ := single(a)
-			if v := a.w.AL + dMax; v < out.AL {
-				out.AL = v
+		for i := range allowed {
+			if a := &allowed[i]; a.definite {
+				if v := a.w.AL + a.dMax; v < out.AL {
+					out.AL = v
+				}
 			}
 		}
 	} else {
 		out.AL = math.Inf(-1)
-		for _, a := range allowed {
-			_, dMax, _, _ := single(a)
-			if v := a.w.AL + dMax; v > out.AL {
+		for i := range allowed {
+			if v := allowed[i].w.AL + allowed[i].dMax; v > out.AL {
 				out.AL = v
 			}
 		}
@@ -266,16 +278,16 @@ func propagateCtrl(cell *core.CellModel, ins []*LineInfo, ctrlRising bool, extra
 
 	// Earliest arrival and transition bounds over the allowed set
 	// (single-input candidates; what remains in pin-to-pin mode).
-	for _, a := range allowed {
-		dMin, _, tMin, tMax := single(a)
-		if v := a.w.AS + dMin; v < out.AS {
+	for i := range allowed {
+		a := &allowed[i]
+		if v := a.w.AS + a.dMin; v < out.AS {
 			out.AS = v
 		}
-		if tMin < out.TS {
-			out.TS = tMin
+		if a.tMin < out.TS {
+			out.TS = a.tMin
 		}
-		if tMax > out.TL {
-			out.TL = tMax
+		if a.tMax > out.TL {
+			out.TL = a.tMax
 		}
 	}
 
@@ -291,16 +303,28 @@ func propagateCtrl(cell *core.CellModel, ins []*LineInfo, ctrlRising bool, extra
 				multi = f
 			}
 		}
-		for _, ax := range allowed {
-			for _, ay := range allowed {
-				if ax.pin == ay.pin {
+		// Each endpoint's corner (cube root, pin delay and transition)
+		// is prepared once and shared by every pair it takes part in.
+		for i := range allowed {
+			a := &allowed[i]
+			a.cs = cell.CtrlCorner(a.pin, a.w.TS, extraLoad)
+			a.cl = cell.CtrlCorner(a.pin, a.w.TL, extraLoad)
+		}
+		var pairs core.PairTable
+		pairs.Resolve(cell)
+		for i := range allowed {
+			ax := &allowed[i]
+			for j := range allowed {
+				if i == j {
 					continue
 				}
+				ay := &allowed[j]
+				pXY, pYX := pairs.Pair(ax.pin, ay.pin), pairs.Pair(ay.pin, ax.pin)
 				skew := ay.w.AS - ax.w.AS
 				base := math.Min(ax.w.AS, ay.w.AS)
-				for _, tx := range []float64{ax.w.TS, ax.w.TL} {
-					for _, ty := range []float64{ay.w.TS, ay.w.TL} {
-						d := cell.DelayCtrl2(ax.pin, ay.pin, tx, ty, skew, extraLoad)
+				for _, cx := range [2]*core.Corner{&ax.cs, &ax.cl} {
+					for _, cy := range [2]*core.Corner{&ay.cs, &ay.cl} {
+						d := cell.DelayCtrl2At(pXY, pYX, ax.pin, *cx, *cy, skew, extraLoad)
 						if v := base + d*multi; v < out.AS {
 							out.AS = v
 						}
@@ -310,14 +334,17 @@ func propagateCtrl(cell *core.CellModel, ins []*LineInfo, ctrlRising bool, extra
 				// closest to SK_t,min (Fig. 8's T_R,S rule).
 				lo := ay.w.AS - ax.w.AL
 				hi := ay.w.AL - ax.w.AS
-				skm := cell.SKminAt(ax.pin, ay.pin, ax.w.TS, ay.w.TS)
+				skm := 0.0 // CellModel.SKminAt of an uncharacterised pair
+				if pXY != nil {
+					skm = pXY.SKmin.Eval(ax.w.TS, ay.w.TS)
+				}
 				if skm < lo {
 					skm = lo
 				}
 				if skm > hi {
 					skm = hi
 				}
-				if tv := cell.TransCtrl2(ax.pin, ay.pin, ax.w.TS, ay.w.TS, skm, extraLoad); tv < out.TS {
+				if tv := cell.TransCtrl2At(pXY, pYX, ax.pin, ax.cs, ay.cs, skm, extraLoad); tv < out.TS {
 					out.TS = tv
 				}
 			}
@@ -334,7 +361,8 @@ func propagateCtrl(cell *core.CellModel, ins []*LineInfo, ctrlRising bool, extra
 // NC extension, pairs of inputs that can both transition widen the latest
 // corners through the Λ-shape surfaces.
 func propagateNonCtrl(cell *core.CellModel, ins []*LineInfo, ncRising bool, extraLoad float64, mode Mode, ncExt bool) (Window, error) {
-	allowed := collect(ins, ncRising)
+	var buf [maxStackPins]ctrlInput
+	allowed := collect(buf[:0], ins, ncRising, cell.NonCtrlPins, extraLoad)
 	if len(allowed) == 0 {
 		return Window{}, fmt.Errorf("to-non-controlling response possible but no input can transition")
 	}
@@ -344,54 +372,44 @@ func propagateNonCtrl(cell *core.CellModel, ins []*LineInfo, ncRising bool, extr
 	out.TS = math.Inf(1)
 	out.TL = math.Inf(-1)
 
-	single := func(a ctrlInput) (dMin, dMax, tMin, tMax float64) {
-		p := &cell.NonCtrlPins[a.pin]
-		loadD := p.DelayLoadSlope * extraLoad
-		loadT := p.TransLoadSlope * extraLoad
-		_, dMin = p.Delay.MinOver(a.w.TS, a.w.TL)
-		_, dMax = p.Delay.MaxOver(a.w.TS, a.w.TL)
-		_, tMin = p.Trans.MinOver(a.w.TS, a.w.TL)
-		_, tMax = p.Trans.MaxOver(a.w.TS, a.w.TL)
-		return dMin + loadD, dMax + loadD, tMin + loadT, tMax + loadT
-	}
-
 	// Earliest arrival: every definite switcher must complete (max over
 	// them at their earliest corners); with no definite switcher, the
 	// fastest single suffices.
-	var definite []ctrlInput
-	for _, a := range allowed {
-		if a.definite {
-			definite = append(definite, a)
+	hasDefinite := false
+	for i := range allowed {
+		if allowed[i].definite {
+			hasDefinite = true
+			break
 		}
 	}
-	if len(definite) > 0 {
+	if hasDefinite {
 		out.AS = math.Inf(-1)
-		for _, a := range definite {
-			dMin, _, _, _ := single(a)
-			if v := a.w.AS + dMin; v > out.AS {
-				out.AS = v
+		for i := range allowed {
+			if a := &allowed[i]; a.definite {
+				if v := a.w.AS + a.dMin; v > out.AS {
+					out.AS = v
+				}
 			}
 		}
 	} else {
 		out.AS = math.Inf(1)
-		for _, a := range allowed {
-			dMin, _, _, _ := single(a)
-			if v := a.w.AS + dMin; v < out.AS {
+		for i := range allowed {
+			if v := allowed[i].w.AS + allowed[i].dMin; v < out.AS {
 				out.AS = v
 			}
 		}
 	}
 
-	for _, a := range allowed {
-		_, dMax, tMin, tMax := single(a)
-		if v := a.w.AL + dMax; v > out.AL {
+	for i := range allowed {
+		a := &allowed[i]
+		if v := a.w.AL + a.dMax; v > out.AL {
 			out.AL = v
 		}
-		if tMin < out.TS {
-			out.TS = tMin
+		if a.tMin < out.TS {
+			out.TS = a.tMin
 		}
-		if tMax > out.TL {
-			out.TL = tMax
+		if a.tMax > out.TL {
+			out.TL = a.tMax
 		}
 	}
 
@@ -399,11 +417,13 @@ func propagateNonCtrl(cell *core.CellModel, ins []*LineInfo, ncRising bool, extr
 		// Worst-case simultaneous to-non-controlling corner: both
 		// transitions at their latest arrivals, skew as close to the Λ
 		// peak (zero) as the windows allow, slowest transition times.
-		for _, ax := range allowed {
-			for _, ay := range allowed {
-				if ax.pin == ay.pin {
+		for i := range allowed {
+			ax := &allowed[i]
+			for j := range allowed {
+				if i == j {
 					continue
 				}
+				ay := &allowed[j]
 				lo := ay.w.AS - ax.w.AL
 				hi := ay.w.AL - ax.w.AS
 				skew := 0.0
@@ -414,8 +434,8 @@ func propagateNonCtrl(cell *core.CellModel, ins []*LineInfo, ncRising bool, extr
 					skew = hi
 				}
 				base := math.Max(ax.w.AL, ay.w.AL)
-				for _, tx := range []float64{ax.w.TS, ax.w.TL} {
-					for _, ty := range []float64{ay.w.TS, ay.w.TL} {
+				for _, tx := range [2]float64{ax.w.TS, ax.w.TL} {
+					for _, ty := range [2]float64{ay.w.TS, ay.w.TL} {
 						d := cell.DelayNonCtrl2(ax.pin, ay.pin, tx, ty, skew, extraLoad)
 						if v := base + d; v > out.AL {
 							out.AL = v
