@@ -51,10 +51,12 @@ conformance:
 # /refine (the repeat with shuffled gate statements); every repeat must be a
 # cache hit with a body byte-identical to the cold run, and a concurrent
 # identical burst must share exactly one engine run (see internal/reqcache
-# and DESIGN.md §13). Runs under the race detector: the cache and batcher
-# fan out on the shared engine pool.
+# and DESIGN.md §13). The TestWire* tests pin the /analyze and /refine wire
+# format (golden bodies, the identity-field splice, the cache weight) and
+# TestKeyFrom the cache-key framing. Runs under the race detector: the cache
+# and batcher fan out on the shared engine pool.
 cache-conformance:
-	$(GO) test -race -run 'TestCacheEquivalenceTable|TestCacheConformance|TestSingleflight|TestCancelledLeader|TestAlias|TestBatchedEqualsUnbatched' \
+	$(GO) test -race -run 'TestCacheEquivalenceTable|TestCacheConformance|TestSingleflight|TestCancelledLeader|TestAlias|TestBatchedEqualsUnbatched|TestWire|TestKeyFrom' \
 		./internal/service ./internal/reqcache
 
 # Fault-injection suite: deterministic chaos tests that force solver

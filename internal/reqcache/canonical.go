@@ -6,9 +6,14 @@
 // singleflight layer so N concurrent identical requests share exactly one
 // engine run.
 //
+// Entries are encoded response bytes, not response structs: the service
+// encodes each response once, on the miss, and every hit splices its own
+// request_id and elapsed_ms around the cached bytes instead of encoding
+// again.
+//
 // Exactness is the design point: because the delay model is deterministic,
-// a cache hit is byte-identical to a cold run (modulo per-request identity
-// fields the handlers re-stamp), never an approximation — so the cache needs
+// a cache hit is byte-identical to a cold run (modulo the spliced
+// per-request identity fields), never an approximation — so the cache needs
 // no TTL and no staleness tolerance, only invalidation when the library
 // fingerprint changes under a hot reload.
 package reqcache
@@ -17,7 +22,9 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
+	"unsafe"
 
 	"sstiming/internal/netlist"
 )
@@ -30,13 +37,20 @@ type Key [sha256.Size]byte
 // String returns the short hex form (for logs and tests).
 func (k Key) String() string { return fmt.Sprintf("%x", k[:8]) }
 
-// KeyFrom hashes the given parts into a Key. Parts are length-framed, so
-// ("ab","c") and ("a","bc") produce different keys.
+// KeyFrom hashes the given parts into a Key. Parts are length-framed
+// ("<decimal length>:<bytes>"), so ("ab","c") and ("a","bc") produce
+// different keys.
+//
+// A part is often a whole posted netlist, so it is hashed in place: the
+// SHA-256 digest has no WriteString, and io.WriteString would fall back to
+// a []byte(p) copy. Viewing the string's bytes is safe because Write never
+// modifies or retains its argument (the io.Writer contract).
 func KeyFrom(parts ...string) Key {
 	h := sha256.New()
+	var n [24]byte
 	for _, p := range parts {
-		fmt.Fprintf(h, "%d:", len(p))
-		h.Write([]byte(p))
+		h.Write(append(strconv.AppendInt(n[:0], int64(len(p)), 10), ':'))
+		h.Write(unsafe.Slice(unsafe.StringData(p), len(p)))
 	}
 	var k Key
 	h.Sum(k[:0])

@@ -2,6 +2,8 @@ package reqcache
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -108,5 +110,80 @@ func TestCanonicalNets(t *testing.T) {
 	}
 	if CanonicalNets(nil) != "" {
 		t.Fatal("empty filter not canonicalized to empty string")
+	}
+}
+
+// fmtKeyFrom is the reference framing KeyFrom must reproduce: every part
+// as "<decimal length>:" followed by its bytes, through fmt and a copy.
+func fmtKeyFrom(parts ...string) Key {
+	h := sha256.New()
+	for _, p := range parts {
+		fmt.Fprintf(h, "%d:", len(p))
+		h.Write([]byte(p))
+	}
+	var k Key
+	h.Sum(k[:0])
+	return k
+}
+
+// TestKeyFromMatchesFmtFraming: the allocation-free KeyFrom produces the
+// same keys as the fmt-based framing over random parts — empty parts,
+// multi-digit lengths, binary bytes — so no resident key or alias changes.
+func TestKeyFromMatchesFmtFraming(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	if KeyFrom() != fmtKeyFrom() {
+		t.Fatal("zero-part keys differ")
+	}
+	for i := 0; i < 500; i++ {
+		parts := make([]string, rng.Intn(8))
+		for j := range parts {
+			b := make([]byte, rng.Intn([]int{1, 12, 300, 5000}[rng.Intn(4)]))
+			rng.Read(b)
+			parts[j] = string(b)
+		}
+		if got, want := KeyFrom(parts...), fmtKeyFrom(parts...); got != want {
+			t.Fatalf("parts %d: KeyFrom = %s, fmt framing = %s", i, got, want)
+		}
+	}
+}
+
+// c7552Text is a c7552-scale stand-in netlist (benchgen's profile), the
+// size of the largest request the serve benchmark posts.
+func c7552Text(b *testing.B) string {
+	p, _ := benchgen.ProfileByName("c7552")
+	c, err := benchgen.Generate(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var s strings.Builder
+	if err := c.Write(&s); err != nil {
+		b.Fatal(err)
+	}
+	return s.String()
+}
+
+// BenchmarkKeyFrom is the raw-address step of every /analyze request: the
+// options plus the whole posted netlist.
+func BenchmarkKeyFrom(b *testing.B) {
+	src := c7552Text(b)
+	b.SetBytes(int64(len(src)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = KeyFrom("analyze-raw/1", "fingerprint", "proposed", "0", "1", "", src)
+	}
+}
+
+// BenchmarkCanonicalNetlist is the canonical-address step of a raw miss on
+// a parsed c7552-scale circuit.
+func BenchmarkCanonicalNetlist(b *testing.B) {
+	c, err := netlist.Parse("bench", strings.NewReader(c7552Text(b)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = CanonicalNetlist(c)
 	}
 }

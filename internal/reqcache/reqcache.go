@@ -37,7 +37,7 @@ func (s Status) String() string {
 type entry struct {
 	key  Key
 	fp   string // library fingerprint, for reload invalidation
-	val  any
+	val  []byte
 	size int64
 }
 
@@ -45,13 +45,14 @@ type entry struct {
 // fills val/err and closes done exactly once.
 type flight struct {
 	done chan struct{}
-	val  any
+	val  []byte
 	err  error
 }
 
 // Cache is a bounded content-addressed cache with singleflight semantics.
-// Values are treated as immutable once inserted: callers must not mutate a
-// returned value (handlers copy-and-restamp instead).
+// Values are encoded response bytes, immutable once inserted: callers must
+// not mutate a returned slice (handlers splice their per-request identity
+// fields around it into a fresh body instead).
 //
 // Entries are addressed by their canonical key (hash of the canonicalized
 // request semantics). On top of that sits the alias layer: a map from
@@ -125,8 +126,9 @@ func (c *Cache) SetMaxEntryBytes(n int64) {
 // its followers: a cancelled (or otherwise failed) leader must not poison
 // the burst, so each follower retries — the first to re-arrive becomes the
 // new leader and re-runs the engine. compute's (value, size) is the value to
-// cache and its byte-accounting weight.
-func (c *Cache) Do(ctx context.Context, key Key, fp string, compute func(ctx context.Context) (any, int64, error)) (any, Status, error) {
+// cache and its byte-accounting weight; the weight is the caller's to choose
+// and need not be len(value).
+func (c *Cache) Do(ctx context.Context, key Key, fp string, compute func(ctx context.Context) ([]byte, int64, error)) ([]byte, Status, error) {
 	for {
 		c.mu.Lock()
 		if el, ok := c.byKey[key]; ok {
@@ -174,7 +176,7 @@ func (c *Cache) Do(ctx context.Context, key Key, fp string, compute func(ctx con
 // the exact-bytes fast path (counted as a Hit). A dangling alias (its
 // canonical entry was evicted or invalidated) is dropped and reported as a
 // miss, sending the caller down the canonical parse-and-Do path.
-func (c *Cache) GetVia(raw Key) (any, bool) {
+func (c *Cache) GetVia(raw Key) ([]byte, bool) {
 	c.mu.Lock()
 	ck, ok := c.aliases[raw]
 	if !ok {
@@ -220,7 +222,7 @@ func (c *Cache) AliasLen() int {
 
 // Get returns the resident value for key, if any, promoting it. Lookup
 // without compute — for tests and metrics probes.
-func (c *Cache) Get(key Key) (any, bool) {
+func (c *Cache) Get(key Key) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
@@ -235,7 +237,7 @@ func (c *Cache) Get(key Key) (any, bool) {
 // budgets hold. A value alone exceeding the byte budget — or the per-entry
 // admission cap — is not cached at all (caching it would immediately evict
 // everything including itself); the refusal is counted as oversized.
-func (c *Cache) insertLocked(key Key, fp string, val any, size int64) {
+func (c *Cache) insertLocked(key Key, fp string, val []byte, size int64) {
 	if size < 0 {
 		size = 0
 	}

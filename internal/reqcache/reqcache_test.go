@@ -14,12 +14,12 @@ import (
 
 func bg() context.Context { return context.Background() }
 
-func computeVal(v string, size int64, runs *atomic.Int64) func(context.Context) (any, int64, error) {
-	return func(context.Context) (any, int64, error) {
+func computeVal(v string, size int64, runs *atomic.Int64) func(context.Context) ([]byte, int64, error) {
+	return func(context.Context) ([]byte, int64, error) {
 		if runs != nil {
 			runs.Add(1)
 		}
-		return v, size, nil
+		return []byte(v), size, nil
 	}
 }
 
@@ -30,11 +30,11 @@ func TestDoMissThenHit(t *testing.T) {
 	k := KeyFrom("a")
 
 	v, st, err := c.Do(bg(), k, "fp1", computeVal("one", 3, &runs))
-	if err != nil || v != "one" || st != Miss {
+	if err != nil || string(v) != "one" || st != Miss {
 		t.Fatalf("first Do = (%v, %v, %v), want (one, Miss, nil)", v, st, err)
 	}
 	v, st, err = c.Do(bg(), k, "fp1", computeVal("two", 3, &runs))
-	if err != nil || v != "one" || st != Hit {
+	if err != nil || string(v) != "one" || st != Hit {
 		t.Fatalf("second Do = (%v, %v, %v), want cached (one, Hit, nil)", v, st, err)
 	}
 	if runs.Load() != 1 {
@@ -53,7 +53,7 @@ func TestErrorsAreNotCached(t *testing.T) {
 	c := New(8, 0, nil)
 	k := KeyFrom("boom")
 	var runs atomic.Int64
-	fail := func(context.Context) (any, int64, error) {
+	fail := func(context.Context) ([]byte, int64, error) {
 		runs.Add(1)
 		return nil, 0, errors.New("engine rejected it")
 	}
@@ -158,7 +158,7 @@ func TestMaxEntryBytesAdmission(t *testing.T) {
 	big := computeVal("B", 11, &runs)
 	for i := 1; i <= 2; i++ {
 		v, st, err := c.Do(bg(), KeyFrom("big"), "fp", big)
-		if err != nil || v != "B" || st != Miss {
+		if err != nil || string(v) != "B" || st != Miss {
 			t.Fatalf("big Do #%d = (%v, %v, %v), want (B, Miss, nil)", i, v, st, err)
 		}
 	}
@@ -216,10 +216,10 @@ func TestSingleflightSharesOneCompute(t *testing.T) {
 	k := KeyFrom("shared")
 	var runs atomic.Int64
 	gate := make(chan struct{})
-	compute := func(context.Context) (any, int64, error) {
+	compute := func(context.Context) ([]byte, int64, error) {
 		runs.Add(1)
 		<-gate // hold the flight open until every goroutine has joined
-		return "val", 3, nil
+		return []byte("val"), 3, nil
 	}
 
 	const n = 16
@@ -237,7 +237,7 @@ func TestSingleflightSharesOneCompute(t *testing.T) {
 				t.Errorf("goroutine %d: %v", i, err)
 				return
 			}
-			results[i] = v.(string)
+			results[i] = string(v)
 			statuses[i] = st
 		}(i)
 	}
@@ -281,14 +281,14 @@ func TestCancelledLeaderDoesNotPoisonFollowers(t *testing.T) {
 	leaderIn := make(chan struct{})
 	leaderCtx, cancelLeader := context.WithCancel(bg())
 
-	compute := func(ctx context.Context) (any, int64, error) {
+	compute := func(ctx context.Context) ([]byte, int64, error) {
 		n := runs.Add(1)
 		if n == 1 {
 			close(leaderIn)
 			<-ctx.Done() // the leader dies with its own context error
 			return nil, 0, ctx.Err()
 		}
-		return "recovered", 9, nil
+		return []byte("recovered"), 9, nil
 	}
 
 	leaderErr := make(chan error, 1)
@@ -301,7 +301,7 @@ func TestCancelledLeaderDoesNotPoisonFollowers(t *testing.T) {
 	const followers = 4
 	var wg sync.WaitGroup
 	errs := make([]error, followers)
-	vals := make([]any, followers)
+	vals := make([][]byte, followers)
 	for i := 0; i < followers; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -320,7 +320,7 @@ func TestCancelledLeaderDoesNotPoisonFollowers(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("follower %d inherited an error: %v (leader cancellation must not poison followers)", i, errs[i])
 		}
-		if vals[i] != "recovered" {
+		if string(vals[i]) != "recovered" {
 			t.Fatalf("follower %d value = %v, want recovered", i, vals[i])
 		}
 	}
@@ -337,10 +337,10 @@ func TestFollowerDeadlineWhileWaiting(t *testing.T) {
 	k := KeyFrom("slow")
 	started := make(chan struct{})
 	release := make(chan struct{})
-	go c.Do(bg(), k, "fp", func(context.Context) (any, int64, error) {
+	go c.Do(bg(), k, "fp", func(context.Context) ([]byte, int64, error) {
 		close(started)
 		<-release
-		return "late", 4, nil
+		return []byte("late"), 4, nil
 	})
 	<-started
 
@@ -386,7 +386,7 @@ func TestAliasFastPath(t *testing.T) {
 	c.SetAlias(raw, canon)
 	hitsBefore := met.Get(engine.CacheHits)
 	v, ok := c.GetVia(raw)
-	if !ok || v != "v" {
+	if !ok || string(v) != "v" {
 		t.Fatalf("GetVia = (%v, %v), want (v, true)", v, ok)
 	}
 	if met.Get(engine.CacheHits) != hitsBefore+1 {
@@ -454,10 +454,10 @@ func TestSingleflightOversizedFollowers(t *testing.T) {
 	k := KeyFrom("oversized-shared")
 	var runs atomic.Int64
 	gate := make(chan struct{})
-	compute := func(context.Context) (any, int64, error) {
+	compute := func(context.Context) ([]byte, int64, error) {
 		runs.Add(1)
 		<-gate // hold the flight open until every follower has joined
-		return "huge", 100, nil
+		return []byte("huge"), 100, nil
 	}
 
 	const n = 9 // 1 leader + 8 followers
@@ -470,7 +470,7 @@ func TestSingleflightOversizedFollowers(t *testing.T) {
 			defer done.Done()
 			started.Done()
 			v, st, err := c.Do(bg(), k, "fp", compute)
-			if err != nil || v != "huge" {
+			if err != nil || string(v) != "huge" {
 				t.Errorf("goroutine %d: (%v, %v)", i, v, err)
 				return
 			}
@@ -508,7 +508,7 @@ func TestSingleflightOversizedFollowers(t *testing.T) {
 
 	// Never cached: the next caller recomputes, still uncached, counted again.
 	v, st, err := c.Do(bg(), k, "fp", compute)
-	if err != nil || v != "huge" || st != Miss {
+	if err != nil || string(v) != "huge" || st != Miss {
 		t.Fatalf("recompute = (%v, %v, %v), want (huge, Miss, nil)", v, st, err)
 	}
 	if runs.Load() != 2 || c.Len() != 0 {

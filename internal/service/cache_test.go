@@ -50,25 +50,13 @@ func postCached(t *testing.T, url string, body any) (int, string, string) {
 // combinations, the second identical request is a hit and its body is
 // byte-identical to the cold run's.
 func TestCacheEquivalenceTable(t *testing.T) {
-	c17 := benchgen.C17()
-	cases := []struct {
-		name string
-		ep   string
-		body map[string]any
-	}{
-		{"analyze-proposed", "/analyze", map[string]any{"netlist": ""}},
-		{"analyze-windows", "/analyze", map[string]any{"netlist": "", "windows": true}},
-		{"analyze-pin-to-pin", "/analyze", map[string]any{"netlist": "", "mode": "pin-to-pin", "windows": true}},
-		{"analyze-nc-extension", "/analyze", map[string]any{"netlist": "", "nc_extension": true, "windows": true}},
-		{"refine-cube", "/refine", map[string]any{"netlist": "", "cube": map[string]string{"1": "01", "2": "11"}}},
-		{"refine-nets-filter", "/refine", map[string]any{"netlist": "", "cube": map[string]string{"1": "01"}, "nets": []string{"22", "23"}}},
-	}
-	for _, tc := range cases {
+	src := benchText(t, benchgen.C17())
+	for _, tc := range wireCases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, hs := newTestServer(t, Options{CacheEntries: 64})
-			tc.body["netlist"] = benchText(t, c17)
-			st1, cache1, body1 := postCached(t, hs.URL+tc.ep, tc.body)
-			st2, cache2, body2 := postCached(t, hs.URL+tc.ep, tc.body)
+			body := tc.with(src)
+			st1, cache1, body1 := postCached(t, hs.URL+tc.ep, body)
+			st2, cache2, body2 := postCached(t, hs.URL+tc.ep, body)
 			if st1 != http.StatusOK || st2 != http.StatusOK {
 				t.Fatalf("statuses %d/%d, want 200/200", st1, st2)
 			}

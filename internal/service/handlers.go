@@ -1,11 +1,13 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -150,12 +152,24 @@ func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, into any) erro
 	return nil
 }
 
+// writeJSON answers status with v's indented encoding. The body is encoded
+// before the header goes out, so a value that cannot be encoded (a NaN or
+// infinity in a float field) answers 500 "internal" instead of a 200 with
+// an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	if err := enc.Encode(v); err != nil {
+		status = http.StatusInternalServerError
+		buf.Reset()
+		_ = enc.Encode(ErrorJSON{Error: fmt.Errorf("%w: %v", errEncode, err).Error(), Kind: "internal"})
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.WriteHeader(status)
+	_, _ = w.Write(buf.Bytes())
 }
 
 func writeError(w http.ResponseWriter, status int, requestID string, err error, extra map[string]string) {
@@ -180,7 +194,7 @@ func errorKind(err error) string {
 		return "draining"
 	case errors.Is(err, ErrSessionNotFound):
 		return "not-found"
-	case errors.Is(err, ErrSessionDurability):
+	case errors.Is(err, ErrSessionDurability), errors.Is(err, errEncode):
 		return "internal"
 	case errors.As(err, &pe):
 		return "panic"
@@ -200,6 +214,8 @@ func errorKind(err error) string {
 //	journal write lost -> 500 (the delta was applied but never made
 //	                          durable; the session is dropped and a
 //	                          restart recovers its last durable state)
+//	response encoding  -> 500 (a non-finite number reached the response;
+//	                          never cached)
 //	anything else      -> 422 (the posted netlist/cube was analysable but
 //	                          rejected by the engine)
 func (s *Server) respondJobError(w http.ResponseWriter, id string, err error) {
@@ -208,7 +224,7 @@ func (s *Server) respondJobError(w http.ResponseWriter, id string, err error) {
 	case errors.Is(err, spice.ErrCancelled):
 		s.met.Add(engine.SvcTimeouts, 1)
 		writeError(w, http.StatusGatewayTimeout, id, err, nil)
-	case errors.Is(err, ErrSessionDurability):
+	case errors.Is(err, ErrSessionDurability), errors.Is(err, errEncode):
 		writeError(w, http.StatusInternalServerError, id, err, nil)
 	case errors.Is(err, ErrShedLoad):
 		w.Header().Set("Retry-After", "1")
@@ -294,6 +310,16 @@ func (s *Server) checkGateBudget(c *netlist.Circuit) error {
 	return nil
 }
 
+// checkOutputs refuses an /analyze netlist with no primary outputs: its
+// response reports the primary-output arrival range, which is empty (±Inf,
+// not representable in JSON) without one.
+func checkOutputs(c *netlist.Circuit) error {
+	if len(c.POs) == 0 {
+		return errors.New("netlist declares no OUTPUT lines; /analyze reports primary-output arrival times")
+	}
+	return nil
+}
+
 // execute routes one analysis job to the engine: through the micro-batcher
 // when batching is enabled and the circuit is small enough to coalesce, else
 // straight through admission control. Batch-layer refusals are translated
@@ -314,13 +340,24 @@ func (s *Server) execute(ctx context.Context, gates int, fn func(ctx context.Con
 	return s.submit(ctx, fn)
 }
 
-// cached runs compute through the content-addressed cache when enabled;
-// without a cache every call is its own cold run.
+// cached returns the encoded middle of the response addressed by key (see
+// wire.go): resident, shared with a concurrent identical request, or built
+// and encoded once by this caller. build runs the engine job and returns
+// the response with zero identity fields; the encode happens here, after
+// the job has released its worker slot. A failed build or encode is a job
+// error and never cached. Without a cache every call is its own cold run.
 func (s *Server) cached(ctx context.Context, key reqcache.Key, fp string,
-	compute func(ctx context.Context) (any, int64, error)) (any, reqcache.Status, error) {
+	build func(ctx context.Context) (any, error)) ([]byte, reqcache.Status, error) {
+	compute := func(ctx context.Context) ([]byte, int64, error) {
+		v, err := build(ctx)
+		if err != nil {
+			return nil, 0, err
+		}
+		return encodeBody(v)
+	}
 	if s.cache == nil {
-		v, _, err := compute(ctx)
-		return v, reqcache.Miss, err
+		middle, _, err := compute(ctx)
+		return middle, reqcache.Miss, err
 	}
 	return s.cache.Do(ctx, key, fp, compute)
 }
@@ -337,16 +374,6 @@ func asJobError(err error) error {
 		return spice.Cancelled(err)
 	}
 	return err
-}
-
-// respSize is a response's cache byte-accounting weight: its JSON encoding
-// size.
-func respSize(v any) int64 {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return 0
-	}
-	return int64(len(b))
 }
 
 // boolPart renders a boolean option as a cache-key part.
@@ -366,9 +393,10 @@ func boolPart(b bool) string {
 // and addressed by the canonical netlist plus every response-relevant
 // option under the serving library's fingerprint; only a canonical miss
 // runs the engine — through the micro-batcher for small circuits when
-// batching is enabled. The X-Cache header reports hit/miss/coalesced; a
-// cached response is byte-identical to the cold run modulo the re-stamped
-// request_id and elapsed_ms.
+// batching is enabled — and encodes the response once. The X-Cache header
+// reports hit/miss/coalesced; every answer splices its own request_id and
+// elapsed_ms around the one encoding, so a cached response is
+// byte-identical to the cold run modulo those two values.
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	id := RequestID(r.Context())
 	start := time.Now()
@@ -389,18 +417,17 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		boolPart(req.NCExtension), boolPart(req.Windows),
 		strings.ToLower(req.Format), req.Netlist)
 	if s.cache != nil {
-		if v, ok := s.cache.GetVia(rawKey); ok {
-			resp := *v.(*AnalyzeResponse)
-			resp.RequestID = id
-			resp.ElapsedMs = float64(time.Since(start)) / float64(time.Millisecond)
-			w.Header().Set("X-Cache", reqcache.Hit.String())
-			writeJSON(w, http.StatusOK, &resp)
+		if middle, ok := s.cache.GetVia(rawKey); ok {
+			writeEncoded(w, reqcache.Hit, id, start, middle)
 			return
 		}
 	}
 	c, err := parseCircuit(req.Netlist, req.Format)
 	if err == nil {
 		err = s.checkGateBudget(c)
+	}
+	if err == nil {
+		err = checkOutputs(c)
 	}
 	if err != nil {
 		s.respondJobError(w, id, err)
@@ -412,7 +439,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	key := reqcache.KeyFrom("analyze/1", ls.fp, mode.String(),
 		boolPart(req.NCExtension), boolPart(req.Windows),
 		string(reqcache.CanonicalNetlist(c)))
-	val, status, err := s.cached(ctx, key, ls.fp, func(ctx context.Context) (any, int64, error) {
+	middle, status, err := s.cached(ctx, key, ls.fp, func(ctx context.Context) (any, error) {
 		var out *AnalyzeResponse
 		err := s.execute(ctx, c.NumGates(), func(ctx context.Context) error {
 			res, err := sta.Analyze(c, sta.Options{
@@ -426,8 +453,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				return err
 			}
-			// Identity fields (request_id, elapsed_ms) stay zero in the
-			// cached value; every response re-stamps its own copy.
+			// Identity fields (request_id, elapsed_ms) stay zero: every
+			// answer splices its own around the encoding.
 			out = &AnalyzeResponse{
 				Circuit:      circuitJSON(c),
 				Mode:         mode.String(),
@@ -448,10 +475,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			}
 			return nil
 		})
-		if err != nil {
-			return nil, 0, err
-		}
-		return out, respSize(out), nil
+		return out, err
 	})
 	if err != nil {
 		s.respondJobError(w, id, asJobError(err))
@@ -460,13 +484,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if s.cache != nil {
 		s.cache.SetAlias(rawKey, key)
 	}
-	// Shallow copy: identity fields are per-request, everything else is the
-	// shared immutable cached value.
-	resp := *val.(*AnalyzeResponse)
-	resp.RequestID = id
-	resp.ElapsedMs = float64(time.Since(start)) / float64(time.Millisecond)
-	w.Header().Set("X-Cache", status.String())
-	writeJSON(w, http.StatusOK, &resp)
+	writeEncoded(w, status, id, start, middle)
 }
 
 // handleRefine serves POST /refine: one ITR job, content-addressed like
@@ -500,12 +518,8 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 		boolPart(req.NCExtension), reqcache.CanonicalCube(cubeKey),
 		reqcache.CanonicalNets(req.Nets), strings.ToLower(req.Format), req.Netlist)
 	if s.cache != nil {
-		if v, ok := s.cache.GetVia(rawKey); ok {
-			resp := *v.(*RefineResponse)
-			resp.RequestID = id
-			resp.ElapsedMs = float64(time.Since(start)) / float64(time.Millisecond)
-			w.Header().Set("X-Cache", reqcache.Hit.String())
-			writeJSON(w, http.StatusOK, &resp)
+		if middle, ok := s.cache.GetVia(rawKey); ok {
+			writeEncoded(w, reqcache.Hit, id, start, middle)
 			return
 		}
 	}
@@ -528,7 +542,7 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 	key := reqcache.KeyFrom("refine/1", ls.fp, mode.String(),
 		boolPart(req.NCExtension), reqcache.CanonicalCube(cubeKey),
 		reqcache.CanonicalNets(req.Nets), string(reqcache.CanonicalNetlist(c)))
-	val, status, err := s.cached(ctx, key, ls.fp, func(ctx context.Context) (any, int64, error) {
+	middle, status, err := s.cached(ctx, key, ls.fp, func(ctx context.Context) (any, error) {
 		var out *RefineResponse
 		err := s.submit(ctx, func(ctx context.Context) error {
 			res, err := itr.Refine(c, cube, itr.Options{
@@ -563,10 +577,7 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 			}
 			return nil
 		})
-		if err != nil {
-			return nil, 0, err
-		}
-		return out, respSize(out), nil
+		return out, err
 	})
 	if err != nil {
 		s.respondJobError(w, id, asJobError(err))
@@ -575,11 +586,7 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 	if s.cache != nil {
 		s.cache.SetAlias(rawKey, key)
 	}
-	resp := *val.(*RefineResponse)
-	resp.RequestID = id
-	resp.ElapsedMs = float64(time.Since(start)) / float64(time.Millisecond)
-	w.Header().Set("X-Cache", status.String())
-	writeJSON(w, http.StatusOK, &resp)
+	writeEncoded(w, status, id, start, middle)
 }
 
 // handleConformance serves POST /conformance: a randomized differential

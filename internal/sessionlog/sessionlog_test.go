@@ -325,3 +325,21 @@ func TestOpenCorruptTaxonomy(t *testing.T) {
 		})
 	}
 }
+
+// BenchmarkAppend journals one session delta per op: encode, frame, write
+// and fsync, the durability cost every acknowledged delta pays.
+func BenchmarkAppend(b *testing.B) {
+	l, err := Create(filepath.Join(b.TempDir(), "s1"), Meta{SessionID: "s1", LibraryFingerprint: "fp1"},
+		testCreateRecord(), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := l.Append(testDelta(int64(i + 1))); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
