@@ -63,11 +63,15 @@ cache-conformance:
 # non-convergence, NaN poisoning and worker panics, then assert the
 # recovery ladder, graceful degradation and error taxonomy hold — under
 # the race detector, since recovery paths run on the parallel engine pool
-# (see DESIGN.md "Robustness & failure handling").
+# (see DESIGN.md "Robustness & failure handling"). The second line runs the
+# solver's differential tests against its frozen dense reference, whose
+# random circuits reach the same failure paths (singular matrices, NaN/Inf,
+# injected faults) through the structure-aware LU.
 chaos:
 	$(GO) test -race -run 'Chaos' ./internal/spice ./internal/charlib \
 		./internal/conformance ./internal/faultinject ./internal/engine \
 		./internal/tgraph ./internal/service ./internal/shard
+	$(GO) test -race -run 'MatchesReference|FuzzSolve|FollowsPlan' ./internal/spice
 
 # Store crash-safety suite: kill a characterisation campaign mid-cell
 # (deterministically, inside its own checkpoint), tear the journal tail,

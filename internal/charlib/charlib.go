@@ -172,30 +172,86 @@ type measurement struct {
 	trans float64
 }
 
-// characterizer carries shared state for one cell. The memo maps are
-// guarded by mu: pair characterisation runs concurrently across ordered
-// pairs, and simulations are deterministic, so racing goroutines that miss
-// the cache at the same key simply recompute the identical value.
+// characterizer carries shared state for one cell. Pair characterisation
+// runs concurrently across ordered pairs, so the memos and the fit records
+// are guarded: a goroutine that misses a memo while another simulates the
+// same key waits for that simulation instead of repeating it, so every
+// point is simulated exactly as often as in a serial run.
 type characterizer struct {
 	opts Options
 	cfg  cells.Config
 	// ctx is the cell's fan-out context, threaded into every simulation.
 	ctx context.Context
 
-	mu sync.Mutex
 	// memoPair caches two-input simultaneous to-controlling simulations.
-	memoPair map[pairKey]measurement
+	memoPair *memo[pairKey]
 	// memoNCPair caches the to-non-controlling counterparts.
-	memoNCPair map[pairKey]measurement
+	memoNCPair *memo[pairKey]
 	// singleCtrl caches single-input to-controlling measurements per
 	// (pin, grid index); singleNC the to-non-controlling ones.
-	singleCtrl map[[2]int]measurement
-	singleNC   map[[2]int]measurement
+	singleCtrl *memo[[2]int]
+	singleNC   *memo[[2]int]
+
+	// mu guards quality and health.
+	mu sync.Mutex
 	// quality accumulates per-surface fit statistics (ns domain).
 	quality map[string]core.FitQuality
 	// health accumulates resilience bookkeeping: attempted points, retried
 	// simulations and degraded (interpolated) points.
 	health core.CellHealth
+}
+
+// memo caches simulated measurements by key, with at most one simulation
+// of a key in flight: a caller that finds its key being simulated waits,
+// then takes the stored measurement — or, if that simulation failed,
+// simulates itself, as a serial run would retry an unstored key.
+type memo[K comparable] struct {
+	mu      sync.Mutex
+	done    map[K]measurement
+	running map[K]chan struct{}
+}
+
+func newMemo[K comparable]() *memo[K] {
+	return &memo[K]{done: make(map[K]measurement), running: make(map[K]chan struct{})}
+}
+
+// get returns the measurement stored for key, or runs sim to make it.
+func (m *memo[K]) get(key K, sim func() (measurement, error)) (measurement, error) {
+	for {
+		m.mu.Lock()
+		if v, ok := m.done[key]; ok {
+			m.mu.Unlock()
+			return v, nil
+		}
+		wait, busy := m.running[key]
+		if !busy {
+			wait = make(chan struct{})
+			m.running[key] = wait
+		}
+		m.mu.Unlock()
+		if !busy {
+			return m.run(key, wait, sim)
+		}
+		<-wait
+	}
+}
+
+// run simulates key and releases its waiters, even if sim panics.
+func (m *memo[K]) run(key K, wait chan struct{}, sim func() (measurement, error)) (measurement, error) {
+	var v measurement
+	stored := false
+	defer func() {
+		m.mu.Lock()
+		if stored {
+			m.done[key] = v
+		}
+		delete(m.running, key)
+		m.mu.Unlock()
+		close(wait)
+	}()
+	v, err := sim()
+	stored = err == nil
+	return v, err
 }
 
 type pairKey struct {
@@ -271,10 +327,10 @@ func characterizeCell(ctx context.Context, opts Options, cfg cells.Config) (*cor
 		opts:       opts,
 		cfg:        cfg,
 		ctx:        ctx,
-		memoPair:   make(map[pairKey]measurement),
-		memoNCPair: make(map[pairKey]measurement),
-		singleCtrl: make(map[[2]int]measurement),
-		singleNC:   make(map[[2]int]measurement),
+		memoPair:   newMemo[pairKey](),
+		memoNCPair: newMemo[pairKey](),
+		singleCtrl: newMemo[[2]int](),
+		singleNC:   newMemo[[2]int](),
 		quality:    make(map[string]core.FitQuality),
 	}
 
@@ -442,24 +498,12 @@ func (ch *characterizer) simulate(drives map[int]cells.Drive, outRising bool, ex
 // measureSingleCtrl measures (and memoises) the single-input to-controlling
 // response for a grid transition time.
 func (ch *characterizer) measureSingleCtrl(pin, gridIdx int) (measurement, error) {
-	key := [2]int{pin, gridIdx}
-	ch.mu.Lock()
-	m, ok := ch.singleCtrl[key]
-	ch.mu.Unlock()
-	if ok {
-		return m, nil
-	}
-	tt := ch.opts.Grid[gridIdx]
-	m, err := ch.simulate(
-		map[int]cells.Drive{pin: ch.ctrlDrive(stimulusArrival, tt)},
-		ch.cfg.OutputRisesOnControlling(), 0, stimulusArrival, tt)
-	if err != nil {
-		return measurement{}, err
-	}
-	ch.mu.Lock()
-	ch.singleCtrl[key] = m
-	ch.mu.Unlock()
-	return m, nil
+	return ch.singleCtrl.get([2]int{pin, gridIdx}, func() (measurement, error) {
+		tt := ch.opts.Grid[gridIdx]
+		return ch.simulate(
+			map[int]cells.Drive{pin: ch.ctrlDrive(stimulusArrival, tt)},
+			ch.cfg.OutputRisesOnControlling(), 0, stimulusArrival, tt)
+	})
 }
 
 // measurePair measures (and memoises) the two-input simultaneous response:
@@ -472,12 +516,12 @@ func (ch *characterizer) measurePair(x, y, txIdx, tyIdx int, skew float64) (meas
 	if x > y {
 		key = pairKey{x: y, y: x, tx: tyIdx, ty: txIdx, dps: -dps}
 	}
-	ch.mu.Lock()
-	m0, ok := ch.memoPair[key]
-	ch.mu.Unlock()
-	if ok {
-		return m0, nil
-	}
+	return ch.memoPair.get(key, func() (measurement, error) { return ch.simulatePair(key) })
+}
+
+// simulatePair simulates the two-input to-controlling response of a
+// canonical pair key.
+func (ch *characterizer) simulatePair(key pairKey) (measurement, error) {
 	// Compute arrivals from the canonical key so both pin orders hit the
 	// same simulation.
 	axc := stimulusArrival
@@ -499,14 +543,7 @@ func (ch *characterizer) measurePair(x, y, txIdx, tyIdx int, skew float64) (meas
 	}
 	latest := math.Max(axc, ayc)
 	maxTT := math.Max(ch.opts.Grid[key.tx], ch.opts.Grid[key.ty])
-	m, err := ch.simulate(drives, ch.cfg.OutputRisesOnControlling(), 0, latest, maxTT)
-	if err != nil {
-		return measurement{}, err
-	}
-	ch.mu.Lock()
-	ch.memoPair[key] = m
-	ch.mu.Unlock()
-	return m, nil
+	return ch.simulate(drives, ch.cfg.OutputRisesOnControlling(), 0, latest, maxTT)
 }
 
 // fitPin characterises one pin's single-transition timing functions.

@@ -27,13 +27,12 @@ func (ch *characterizer) measureNCPair(x, y, txIdx, tyIdx int, skew float64) (me
 	if x > y {
 		key = pairKey{x: y, y: x, tx: tyIdx, ty: txIdx, dps: -dps}
 	}
-	ch.mu.Lock()
-	m0, ok := ch.memoNCPair[key]
-	ch.mu.Unlock()
-	if ok {
-		return m0, nil
-	}
+	return ch.memoNCPair.get(key, func() (measurement, error) { return ch.simulateNCPair(key) })
+}
 
+// simulateNCPair simulates the two-input to-non-controlling response of a
+// canonical pair key.
+func (ch *characterizer) simulateNCPair(key pairKey) (measurement, error) {
 	axc := stimulusArrival
 	ayc := stimulusArrival + float64(key.dps)*1e-12
 	txc := ch.opts.Grid[key.tx]
@@ -55,14 +54,7 @@ func (ch *characterizer) measureNCPair(x, y, txIdx, tyIdx int, skew float64) (me
 	// completes; simulate() holds them there by default — but its delay
 	// is measured from the earliest arrival. Re-derive against latest.
 	outRising := !ch.cfg.OutputRisesOnControlling()
-	m, err := ch.simulateNC(drives, outRising, latest, maxTT)
-	if err != nil {
-		return measurement{}, err
-	}
-	ch.mu.Lock()
-	ch.memoNCPair[key] = m
-	ch.mu.Unlock()
-	return m, nil
+	return ch.simulateNC(drives, outRising, latest, maxTT)
 }
 
 // simulateNC runs a to-non-controlling testbench with the switching pins'
@@ -88,25 +80,13 @@ func (ch *characterizer) simulateNC(drives map[int]cells.Drive, outRising bool, 
 // measureSingleNC measures (and memoises) the single-input
 // to-non-controlling response at a grid point.
 func (ch *characterizer) measureSingleNC(pin, gridIdx int) (measurement, error) {
-	key := [2]int{pin, gridIdx}
-	ch.mu.Lock()
-	m, ok := ch.singleNC[key]
-	ch.mu.Unlock()
-	if ok {
-		return m, nil
-	}
-	tt := ch.opts.Grid[gridIdx]
-	outRising := !ch.cfg.OutputRisesOnControlling()
-	m, err := ch.simulateNC(
-		map[int]cells.Drive{pin: ch.nonCtrlDrive(stimulusArrival, tt)},
-		outRising, stimulusArrival, tt)
-	if err != nil {
-		return measurement{}, err
-	}
-	ch.mu.Lock()
-	ch.singleNC[key] = m
-	ch.mu.Unlock()
-	return m, nil
+	return ch.singleNC.get([2]int{pin, gridIdx}, func() (measurement, error) {
+		tt := ch.opts.Grid[gridIdx]
+		outRising := !ch.cfg.OutputRisesOnControlling()
+		return ch.simulateNC(
+			map[int]cells.Drive{pin: ch.nonCtrlDrive(stimulusArrival, tt)},
+			outRising, stimulusArrival, tt)
+	})
 }
 
 // fitNCPair characterises the Λ-shaped to-non-controlling surfaces of

@@ -5,8 +5,9 @@
 // gate-level event model (package logicsim) and the STA windows are checked
 // against it.
 //
-// The dense MNA solver limits the flattened size to a few dozen nodes;
-// that is exactly the regime the paper's accuracy experiments operate in.
+// The MNA solver's dim×dim storage limits the flattened size to a few
+// dozen nodes; that is exactly the regime the paper's accuracy experiments
+// operate in.
 package flatsim
 
 import (
@@ -22,7 +23,11 @@ import (
 	"sstiming/internal/waveform"
 )
 
-// MaxNodes bounds the flattened circuit size (dense-solver regime).
+// MaxNodes bounds the flattened circuit size. The bound dates from the
+// dense solver; the structure-aware LU skips structural zeros but still
+// keeps dim×dim storage and falls back to the dense loops on every pivot
+// change, so the bound stays, and it also sets the conformance campaigns'
+// transistor-level coverage.
 const MaxNodes = 120
 
 // ErrTooLarge reports a circuit whose flattened transistor netlist exceeds

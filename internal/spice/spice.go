@@ -7,8 +7,16 @@
 // (time-varying) voltage sources, and square-law MOSFETs from package device.
 //
 // The simulator is sized for cell characterisation: circuits of a few dozen
-// nodes, simulated for a few nanoseconds at picosecond resolution. Matrices
-// are dense and solved by partial-pivot LU decomposition.
+// nodes, simulated for a few nanoseconds at picosecond resolution. The
+// linear part of the MNA system (gmin, resistor and capacitor conductances,
+// the source pattern) is stamped once per step size and the capacitor and
+// source right-hand side once per time point; a Newton iteration adds only
+// the MOSFET stamps. The system is solved by partial-pivot LU along a
+// cached pivot plan — the symbolic factorisation of the matrix's structural
+// pattern under the last observed pivot sequence — which skips the
+// structural zeros. A solve the plan cannot follow (another pivot order, a
+// non-finite multiplier or solution) finishes with the dense loops, so the
+// results are bit-identical to a dense partial-pivot LU.
 package spice
 
 import (
@@ -189,6 +197,12 @@ func (r *Result) Wave(name string) *waveform.Waveform { return r.byName[name] }
 // The initial state is the DC operating point with all sources at their
 // t = 0 values.
 func (c *Circuit) Transient(opts TransientOpts) (*Result, error) {
+	return c.transient(opts, nil)
+}
+
+// transient is Transient; when lu is non-nil it receives the solver's
+// statistics on return.
+func (c *Circuit) transient(opts TransientOpts, lu *luStats) (*Result, error) {
 	if opts.TStop <= 0 {
 		return nil, fmt.Errorf("spice: TStop must be positive, got %g", opts.TStop)
 	}
@@ -209,30 +223,20 @@ func (c *Circuit) Transient(opts TransientOpts) (*Result, error) {
 	nv := len(c.vsrcs)
 	dim := (nn - 1) + nv // unknowns: node voltages 1..nn-1, then branch currents
 
-	s := newSolver(dim)
-	// x holds node voltages indexed by node (x[0] is ground, always 0)
-	// followed by branch currents.
+	// volt holds node voltages indexed by node (volt[0] is ground,
+	// always 0); branch holds the voltage-source branch currents.
 	volt := make([]float64, nn)
 	voltPrev := make([]float64, nn)
 	branch := make([]float64, nv)
 
-	// Recording setup.
 	record := opts.Record
 	if record == nil {
-		record = append([]string(nil), c.nodeNames...)
+		record = c.nodeNames
 	}
-	res := &Result{byName: make(map[string]*waveform.Waveform, len(record))}
-	recIdx := make([]int, 0, len(record))
-	recWaves := make([]*waveform.Waveform, 0, len(record))
-	for _, name := range record {
-		idx, ok := c.nodeIndex[name]
-		if !ok {
-			return nil, fmt.Errorf("spice: cannot record unknown node %q", name)
-		}
-		w := &waveform.Waveform{}
-		res.byName[name] = w
-		recIdx = append(recIdx, idx)
-		recWaves = append(recWaves, w)
+	steps := int(math.Ceil(opts.TStop / h))
+	res, recIdx, recWaves, err := c.newRecording(record, steps)
+	if err != nil {
+		return nil, err
 	}
 
 	// Per-capacitor current state for the trapezoidal method.
@@ -246,7 +250,7 @@ func (c *Circuit) Transient(opts TransientOpts) (*Result, error) {
 		maxHalvings = 0
 	}
 	sc := &solveCtx{
-		s:         s,
+		s:         newSolver(dim, c.pattern(dim)),
 		maxNewton: maxNewton,
 		vtol:      vtol,
 		method:    opts.Method,
@@ -254,6 +258,7 @@ func (c *Circuit) Transient(opts TransientOpts) (*Result, error) {
 		hook:      opts.FaultHook,
 		gmin:      gmin,
 	}
+	c.stampTables(sc)
 
 	// Effort accounting is batched into locals and flushed once per
 	// analysis so the integration loop pays no atomic operations.
@@ -269,6 +274,9 @@ func (c *Circuit) Transient(opts TransientOpts) (*Result, error) {
 		opts.Metrics.Add(engine.SpiceRecovered, recovered)
 		opts.Metrics.Add(engine.SpiceUnrecovered, unrecovered)
 		opts.Metrics.Add(engine.FaultsInjected, sc.injected)
+		if lu != nil {
+			*lu = sc.s.stats
+		}
 	}()
 
 	// DC operating point at t = 0 (capacitors open, currents zero).
@@ -294,7 +302,6 @@ func (c *Circuit) Transient(opts TransientOpts) (*Result, error) {
 		w.Append(0, volt[recIdx[i]])
 	}
 
-	steps := int(math.Ceil(opts.TStop / h))
 	for step := 1; step <= steps; step++ {
 		t := float64(step) * h
 		copy(voltPrev, volt)
@@ -303,7 +310,7 @@ func (c *Circuit) Transient(opts TransientOpts) (*Result, error) {
 		switch {
 		case err == nil:
 			if opts.Method == Trapezoidal {
-				c.updateCapCur(volt, voltPrev, capCur, h)
+				c.updateCapCur(sc, volt, voltPrev, capCur, h)
 			}
 		case !IsRecoverable(err) || maxHalvings == 0:
 			return nil, fmt.Errorf("spice: t=%.4gs: %w", t, err)
@@ -328,13 +335,40 @@ func (c *Circuit) Transient(opts TransientOpts) (*Result, error) {
 	return res, nil
 }
 
+// newRecording validates the recorded node names and presizes their
+// waveforms: each gets exactly steps+1 samples (the operating point, then
+// one per step), all carved from one allocation.
+func (c *Circuit) newRecording(record []string, steps int) (*Result, []int, []*waveform.Waveform, error) {
+	res := &Result{byName: make(map[string]*waveform.Waveform, len(record))}
+	idx := make([]int, len(record))
+	for i, name := range record {
+		n, ok := c.nodeIndex[name]
+		if !ok {
+			return nil, nil, nil, fmt.Errorf("spice: cannot record unknown node %q", name)
+		}
+		idx[i] = n
+	}
+	per := max(steps, 0) + 1
+	samples := make([]float64, 2*per*len(record))
+	waves := make([]*waveform.Waveform, len(record))
+	for i, name := range record {
+		w := &waveform.Waveform{T: samples[:0:per], V: samples[per : per : 2*per]}
+		samples = samples[2*per:]
+		res.byName[name] = w
+		waves[i] = w
+	}
+	return res, idx, waves, nil
+}
+
 // updateCapCur advances the stored trapezoidal capacitor currents after an
 // accepted step of size h: i_{n+1} = (2C/h)(v_{n+1} − v_n) − i_n.
-func (c *Circuit) updateCapCur(volt, voltPrev, capCur []float64, h float64) {
+// The factor 2C/h is the trapezoidal companion conductance of the template.
+func (c *Circuit) updateCapCur(sc *solveCtx, volt, voltPrev, capCur []float64, h float64) {
+	c.stampLinear(sc, h)
 	for i := range c.caps {
 		cp := &c.caps[i]
 		dv := (volt[cp.a] - volt[cp.b]) - (voltPrev[cp.a] - voltPrev[cp.b])
-		capCur[i] = (2*cp.c/h)*dv - capCur[i]
+		capCur[i] = sc.capG[i]*dv - capCur[i]
 	}
 }
 
@@ -369,7 +403,7 @@ func (c *Circuit) recoverStep(sc *solveCtx, volt, branch, voltPrev, capCur []flo
 				break
 			}
 			if sc.method == Trapezoidal {
-				c.updateCapCur(volt, voltPrev, capCur, hs)
+				c.updateCapCur(sc, volt, voltPrev, capCur, hs)
 			}
 		}
 		if ok {
@@ -421,7 +455,12 @@ func (c *Circuit) solveDCGmin(sc *solveCtx, volt, branch, voltPrev, capCur []flo
 // solveCtx bundles the per-analysis solver configuration threaded through
 // every time-point solve.
 type solveCtx struct {
-	s         *solver
+	s   *solver
+	mos []mosStamp
+	// capRows holds each capacitor's two right-hand-side rows (the sink
+	// for ground); capG its companion conductance at step baseH.
+	capRows   [][2]int32
+	capG      []float64
 	maxNewton int
 	vtol      float64
 	method    Method
@@ -433,6 +472,184 @@ type solveCtx struct {
 	// gminSteps and injected batch metrics locals for the deferred flush.
 	gminSteps int64
 	injected  int64
+	// baseH and baseGmin key the linear template in s.base; baseOK is
+	// false until it is first stamped.
+	baseH, baseGmin float64
+	baseOK          bool
+}
+
+// mosStamp holds the offsets of one MOSFET's stamps into the solver's a and
+// b. A stamp on a ground row or column lands in the sink slot at the end.
+type mosStamp struct {
+	dd, ds, dg, sd, ss, sg int32
+	d, s                   int32
+}
+
+// pattern returns the structural pattern of the circuit's MNA matrix
+// (dim×dim, row-major): every entry any element may stamp, capacitors
+// included, plus the gmin diagonal.
+func (c *Circuit) pattern(dim int) []bool {
+	nn := len(c.nodeNames)
+	pat := make([]bool, dim*dim)
+	set := func(row, col int) {
+		if row != 0 && col != 0 {
+			pat[(row-1)*dim+(col-1)] = true
+		}
+	}
+	two := func(a, b int) {
+		set(a, a)
+		set(b, b)
+		set(a, b)
+		set(b, a)
+	}
+	for i := 1; i < nn; i++ {
+		set(i, i)
+	}
+	for _, r := range c.ress {
+		two(r.a, r.b)
+	}
+	for _, cp := range c.caps {
+		two(cp.a, cp.b)
+	}
+	for _, m := range c.mosfets {
+		two(m.d, m.s)
+		set(m.d, m.g)
+		set(m.s, m.g)
+	}
+	for k, v := range c.vsrcs {
+		br := nn - 1 + k
+		for _, n := range [2]int{v.p, v.m} {
+			if n != 0 {
+				pat[(n-1)*dim+br] = true
+				pat[br*dim+(n-1)] = true
+			}
+		}
+	}
+	return pat
+}
+
+// stampTables resolves every capacitor's right-hand-side rows and every
+// MOSFET stamp to their offsets in sc's solver.
+func (c *Circuit) stampTables(sc *solveCtx) {
+	dim := sc.s.dim
+	sink := int32(dim * dim)
+	at := func(row, col int) int32 {
+		if row == 0 || col == 0 {
+			return sink
+		}
+		return int32((row-1)*dim + (col - 1))
+	}
+	bi := func(row int) int32 {
+		if row == 0 {
+			return int32(dim)
+		}
+		return int32(row - 1)
+	}
+	sc.capRows = make([][2]int32, len(c.caps))
+	for i, cp := range c.caps {
+		sc.capRows[i] = [2]int32{bi(cp.a), bi(cp.b)}
+	}
+	sc.capG = make([]float64, len(c.caps))
+	sc.mos = make([]mosStamp, len(c.mosfets))
+	for i, m := range c.mosfets {
+		sc.mos[i] = mosStamp{
+			dd: at(m.d, m.d), ds: at(m.d, m.s), dg: at(m.d, m.g),
+			sd: at(m.s, m.d), ss: at(m.s, m.s), sg: at(m.s, m.g),
+			d: bi(m.d), s: bi(m.s),
+		}
+	}
+}
+
+// stampLinear (re)stamps the linear template for step h (0 = DC) and sc's
+// current gmin: gmin on every node, then the resistors, then the
+// capacitor conductances, then the voltage-source ±1 pattern, each entry
+// receiving the additions of a full stamp in the same order. The source
+// entries share no position with any other element, so the MOSFET stamps
+// that follow per Newton iteration complete exactly the dense sums.
+func (c *Circuit) stampLinear(sc *solveCtx, h float64) {
+	if sc.baseOK && sc.baseH == h && sc.baseGmin == sc.gmin {
+		return
+	}
+	sc.baseOK, sc.baseH, sc.baseGmin = true, h, sc.gmin
+	s := sc.s
+	a, dim := s.base, s.dim
+	clear(a)
+	add := func(row, col int, g float64) {
+		if row != 0 && col != 0 {
+			a[(row-1)*dim+(col-1)] += g
+		}
+	}
+	nn := len(c.nodeNames)
+	for i := 1; i < nn; i++ {
+		add(i, i, sc.gmin)
+	}
+	for i := range c.ress {
+		r := &c.ress[i]
+		add(r.a, r.a, r.g)
+		add(r.b, r.b, r.g)
+		add(r.a, r.b, -r.g)
+		add(r.b, r.a, -r.g)
+	}
+	if h > 0 {
+		for i := range c.caps {
+			cp := &c.caps[i]
+			geq := cp.geq(sc.method, h)
+			sc.capG[i] = geq
+			add(cp.a, cp.a, geq)
+			add(cp.b, cp.b, geq)
+			add(cp.a, cp.b, -geq)
+			add(cp.b, cp.a, -geq)
+		}
+	}
+	for k := range c.vsrcs {
+		v := &c.vsrcs[k]
+		br := (nn - 1) + k
+		if v.p != 0 {
+			a[(v.p-1)*dim+br] += 1
+			a[br*dim+(v.p-1)] += 1
+		}
+		if v.m != 0 {
+			a[(v.m-1)*dim+br] -= 1
+			a[br*dim+(v.m-1)] -= 1
+		}
+	}
+}
+
+// geq is the capacitor's companion conductance at step h.
+func (cp *capacitor) geq(method Method, h float64) float64 {
+	if method == Trapezoidal {
+		return 2 * cp.c / h
+	}
+	return cp.c / h
+}
+
+// stampRHS stamps the right-hand side of time point t: the capacitor
+// companion currents (from the previous point's voltages and currents)
+// and the source values. The template must be current for h.
+func (c *Circuit) stampRHS(sc *solveCtx, voltPrev, capCur []float64, t, h float64) {
+	b := sc.s.rhs
+	clear(b)
+	if h > 0 {
+		trap := sc.method == Trapezoidal
+		for i := range c.caps {
+			cp := &c.caps[i]
+			geq := sc.capG[i]
+			var ieq float64
+			if trap {
+				// i_{n+1} = geq*v_{n+1} - (geq*v_n + i_n)
+				ieq = geq*(voltPrev[cp.a]-voltPrev[cp.b]) + capCur[i]
+			} else {
+				ieq = geq * (voltPrev[cp.a] - voltPrev[cp.b])
+			}
+			rows := sc.capRows[i]
+			b[rows[0]] += ieq
+			b[rows[1]] += -ieq
+		}
+	}
+	nn := len(c.nodeNames)
+	for k := range c.vsrcs {
+		b[nn-1+k] = c.vsrcs[k].wave(t)
+	}
 }
 
 // unknownName names MNA unknown i (0-based solver row): a node voltage for
@@ -442,6 +659,32 @@ func (c *Circuit) unknownName(i int) string {
 		return c.nodeNames[i+1]
 	}
 	return fmt.Sprintf("vsource#%d", i-(len(c.nodeNames)-1))
+}
+
+// stampNewton loads the linear template and the time point's right-hand
+// side into the working system and adds the MOSFETs linearised at volt.
+func (c *Circuit) stampNewton(sc *solveCtx, volt []float64) {
+	s := sc.s
+	a, b := s.a, s.b
+	copy(a, s.base)
+	copy(b, s.rhs)
+	for i := range c.mosfets {
+		m := &c.mosfets[i]
+		o := &sc.mos[i]
+		vgs := volt[m.g] - volt[m.s]
+		vds := volt[m.d] - volt[m.s]
+		ids, gm, gds := m.params.Ids(m.geom, vgs, vds)
+		ieq := ids - gm*vgs - gds*vds
+		// Current ids flows drain -> source.
+		a[o.dd] += gds
+		a[o.ds] += -gds - gm
+		a[o.dg] += gm
+		a[o.sd] += -gds
+		a[o.ss] += gds + gm
+		a[o.sg] += -gm
+		b[o.d] += -ieq
+		b[o.s] += ieq
+	}
 }
 
 // solvePoint performs Newton-Raphson iteration for one time point,
@@ -465,78 +708,23 @@ func (c *Circuit) solvePoint(sc *solveCtx, volt, branch, voltPrev, capCur []floa
 		return 0, &SolveError{Kind: ErrNoConvergence, Time: t, Step: step, Attempt: attempt, Injected: true}
 	}
 
+	c.stampLinear(sc, h)
+	c.stampRHS(sc, voltPrev, capCur, t, h)
 	s := sc.s
-	maxNewton, vtol, method := sc.maxNewton, sc.vtol, sc.method
+	maxNewton, vtol := sc.maxNewton, sc.vtol
 	nn := len(c.nodeNames)
 	worst := 0
 	residual := 0.0
 	for iter := 0; iter < maxNewton; iter++ {
-		// Observe cancellation inside the Newton loop: each iteration is a
-		// dense LU solve, so even one large flattened circuit reacts to
-		// cancellation within a single iteration, not a whole transient.
+		// Observe cancellation inside the Newton loop, so even one large
+		// flattened circuit reacts within a single iteration, not a whole
+		// transient.
 		if sc.ctx != nil {
 			if cerr := sc.ctx.Err(); cerr != nil {
 				return iter, Cancelled(cerr)
 			}
 		}
-		s.reset()
-
-		// gmin to ground on every non-ground node.
-		for i := 1; i < nn; i++ {
-			s.addG(i, i, sc.gmin)
-		}
-
-		for i := range c.ress {
-			r := &c.ress[i]
-			s.addG(r.a, r.a, r.g)
-			s.addG(r.b, r.b, r.g)
-			s.addG(r.a, r.b, -r.g)
-			s.addG(r.b, r.a, -r.g)
-		}
-
-		if h > 0 {
-			for i := range c.caps {
-				cp := &c.caps[i]
-				var geq, ieq float64
-				if method == Trapezoidal {
-					// i_{n+1} = geq*v_{n+1} - (geq*v_n + i_n)
-					geq = 2 * cp.c / h
-					ieq = geq*(voltPrev[cp.a]-voltPrev[cp.b]) + capCur[i]
-				} else {
-					geq = cp.c / h
-					ieq = geq * (voltPrev[cp.a] - voltPrev[cp.b])
-				}
-				s.addG(cp.a, cp.a, geq)
-				s.addG(cp.b, cp.b, geq)
-				s.addG(cp.a, cp.b, -geq)
-				s.addG(cp.b, cp.a, -geq)
-				s.addI(cp.a, ieq)
-				s.addI(cp.b, -ieq)
-			}
-		}
-
-		for i := range c.mosfets {
-			m := &c.mosfets[i]
-			vgs := volt[m.g] - volt[m.s]
-			vds := volt[m.d] - volt[m.s]
-			ids, gm, gds := m.params.Ids(m.geom, vgs, vds)
-			ieq := ids - gm*vgs - gds*vds
-			// Current ids flows drain -> source.
-			s.addG(m.d, m.d, gds)
-			s.addG(m.d, m.s, -gds-gm)
-			s.addG(m.d, m.g, gm)
-			s.addG(m.s, m.d, -gds)
-			s.addG(m.s, m.s, gds+gm)
-			s.addG(m.s, m.g, -gm)
-			s.addI(m.d, -ieq)
-			s.addI(m.s, ieq)
-		}
-
-		for i := range c.vsrcs {
-			v := &c.vsrcs[i]
-			s.stampVSource(nn, i, v.p, v.m, v.wave(t))
-		}
-
+		c.stampNewton(sc, volt)
 		x, err := s.solve()
 		if err != nil {
 			return iter + 1, &SolveError{
@@ -554,7 +742,7 @@ func (c *Circuit) solvePoint(sc *solveCtx, volt, branch, voltPrev, capCur []floa
 		// guard a NaN poisons every later comparison and the loop either
 		// "converges" on garbage or spins to the iteration cap.
 		for i := range x {
-			if math.IsNaN(x[i]) || math.IsInf(x[i], 0) {
+			if !finite(x[i]) {
 				return iter + 1, &SolveError{
 					Kind: ErrNumerical, Time: t, Step: step, Attempt: attempt,
 					Iters: iter + 1, Node: c.unknownName(i), Injected: fault == FaultNaN,
@@ -593,115 +781,4 @@ func (c *Circuit) solvePoint(sc *solveCtx, volt, branch, voltPrev, capCur []floa
 		Kind: ErrNoConvergence, Time: t, Step: step, Attempt: attempt,
 		Iters: maxNewton, Node: c.nodeNames[worst], Residual: residual,
 	}
-}
-
-// solver is a dense MNA matrix with node-index based stamping. Row/column k
-// corresponds to node k+1 for k < nn-1 and to voltage-source branch
-// k-(nn-1) afterwards. Stamps referencing ground (node 0) are dropped.
-type solver struct {
-	dim int
-	a   []float64 // dim x dim, row-major
-	b   []float64
-	x   []float64
-	piv []int
-}
-
-func newSolver(dim int) *solver {
-	return &solver{
-		dim: dim,
-		a:   make([]float64, dim*dim),
-		b:   make([]float64, dim),
-		x:   make([]float64, dim),
-		piv: make([]int, dim),
-	}
-}
-
-func (s *solver) reset() {
-	for i := range s.a {
-		s.a[i] = 0
-	}
-	for i := range s.b {
-		s.b[i] = 0
-	}
-}
-
-// addG stamps a conductance entry between node rows/cols (1-based node
-// indices; ground entries are dropped).
-func (s *solver) addG(row, col int, g float64) {
-	if row == 0 || col == 0 {
-		return
-	}
-	s.a[(row-1)*s.dim+(col-1)] += g
-}
-
-// addI stamps a current source injection into a node's RHS entry.
-func (s *solver) addI(row int, i float64) {
-	if row == 0 {
-		return
-	}
-	s.b[row-1] += i
-}
-
-// stampVSource stamps the MNA rows of voltage source k with value e between
-// nodes p and m. nn is the total node count including ground.
-func (s *solver) stampVSource(nn, k, p, m int, e float64) {
-	br := (nn - 1) + k
-	if p != 0 {
-		s.a[(p-1)*s.dim+br] += 1
-		s.a[br*s.dim+(p-1)] += 1
-	}
-	if m != 0 {
-		s.a[(m-1)*s.dim+br] -= 1
-		s.a[br*s.dim+(m-1)] -= 1
-	}
-	s.b[br] = e
-}
-
-// solve performs an in-place partial-pivot LU solve of the stamped system.
-// The returned slice is reused between calls.
-func (s *solver) solve() ([]float64, error) {
-	n := s.dim
-	a := s.a
-	b := s.b
-
-	for col := 0; col < n; col++ {
-		// Pivot selection.
-		pivRow := col
-		pivVal := math.Abs(a[col*n+col])
-		for r := col + 1; r < n; r++ {
-			if v := math.Abs(a[r*n+col]); v > pivVal {
-				pivVal = v
-				pivRow = r
-			}
-		}
-		if pivVal == 0 {
-			return nil, fmt.Errorf("singular MNA matrix at column %d", col)
-		}
-		if pivRow != col {
-			for k := col; k < n; k++ {
-				a[col*n+k], a[pivRow*n+k] = a[pivRow*n+k], a[col*n+k]
-			}
-			b[col], b[pivRow] = b[pivRow], b[col]
-		}
-		inv := 1 / a[col*n+col]
-		for r := col + 1; r < n; r++ {
-			f := a[r*n+col] * inv
-			if f == 0 {
-				continue
-			}
-			a[r*n+col] = 0
-			for k := col + 1; k < n; k++ {
-				a[r*n+k] -= f * a[col*n+k]
-			}
-			b[r] -= f * b[col]
-		}
-	}
-	for r := n - 1; r >= 0; r-- {
-		sum := b[r]
-		for k := r + 1; k < n; k++ {
-			sum -= a[r*n+k] * s.x[k]
-		}
-		s.x[r] = sum / a[r*n+r]
-	}
-	return s.x, nil
 }

@@ -176,3 +176,32 @@ func TestTransientRejectsBadTStop(t *testing.T) {
 		t.Error("expected error for TStop = 0")
 	}
 }
+
+// TestTransientAllocs pins that a transient allocates a fixed set of
+// buffers up front: recorded waveforms are presized, and the Newton loop
+// reuses the solver's storage, so allocations do not grow with the step
+// count.
+func TestTransientAllocs(t *testing.T) {
+	tech := device.Default05um()
+	c := NewCircuit()
+	vdd := c.Node("vdd")
+	in := c.Node("in")
+	out := c.Node("out")
+	c.AddDC(vdd, tech.Vdd)
+	c.AddVSource(in, 0, waveform.Ramp(0, tech.Vdd, 0.1e-9, 0.1e-9))
+	c.AddMOSFET(out, in, vdd, &tech.PMOS, tech.MinGeom(device.PMOS))
+	c.AddMOSFET(out, in, 0, &tech.NMOS, tech.MinGeom(device.NMOS))
+	c.AddCap(out, 0, 10e-15)
+	allocs := func(steps int) float64 {
+		opts := TransientOpts{TStop: float64(steps) * 2e-12, TStep: 2e-12, Method: Trapezoidal}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := c.Transient(opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := allocs(100), allocs(4000)
+	if long > short {
+		t.Errorf("a 4000-step transient allocates %v times, a 100-step one %v", long, short)
+	}
+}
